@@ -348,32 +348,18 @@ pub(crate) fn unique_nonce() -> u64 {
 }
 
 impl WorkerComm {
-    /// This worker's index.
-    pub fn me(&self) -> usize {
-        self.me
-    }
-
-    /// Rounds completed so far (= the index of the round in progress).
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
     /// Messages skipped with a report so far (corrupted/undecodable).
     pub fn skipped(&self) -> &[SkippedMessage] {
         &self.skipped
     }
 
-    /// True when the fault plan schedules a panic for this worker in
-    /// `round` (consulted by the worker loop; the round is explicit
-    /// because the async mode numbers bursts itself).
-    pub fn panic_scheduled(&self, round: usize) -> bool {
-        self.faults.panic_scheduled(round)
-    }
-
-    /// Fire the scheduled panic (separated from the check so the worker
-    /// loop can account the round first).
+    /// Panic if the fault plan schedules one for this worker in `round`
+    /// (the round is explicit because the async mode numbers bursts
+    /// itself).
     pub fn fire_scheduled_panic(&self, round: usize) {
-        self.faults.fire_panic(round, self.me);
+        if self.faults.panic_scheduled(round) {
+            self.faults.fire_panic(round, self.me);
+        }
     }
 
     /// Injected wall-clock delay before this round's sends, if any.

@@ -25,9 +25,7 @@ use crate::config::{
 };
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
-use crate::worker::{
-    run_worker, run_worker_async, AsyncControl, Routing, RunFlags, WorkerCtx,
-};
+use crate::worker::{run_worker, AsyncControl, RoundSync, Routing, RunFlags, WorkerCtx};
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
 use owlpar_lint::{lint_rules, LintOptions, PartitionContext};
@@ -471,21 +469,7 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     }
     let start_total = Instant::now();
     let before_len = graph.len();
-    let plan = prepare_run(graph, cfg)?;
-    let recoverable = plan.recoverable(cfg.recovery);
-    let RunPlan {
-        k: _,
-        strategy: _,
-        all_rules,
-        schema,
-        bases,
-        rules_per_worker,
-        routing,
-        quality: partition_quality,
-        edge_cut,
-        partition_time,
-        analysis: _,
-    } = plan;
+    let mut plan = prepare_run(graph, cfg)?;
 
     // Freeze the dictionary and build the fabric.
     let dict = Arc::new(graph.dict.clone());
@@ -494,48 +478,36 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     let barrier = Arc::new(RoundBarrier::new(cfg.k));
     let total_sent = Arc::new(AtomicU64::new(0));
     let flags = Arc::new(RunFlags::new());
+    let async_control = Arc::new(AsyncControl::default());
     let progress: Vec<Arc<AtomicUsize>> =
         (0..cfg.k).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let materialization = resolve_materialization(cfg.materialization, cfg.k);
 
     // Spawn the workers, each inside a panic-containment wrapper.
     let t_par = Instant::now();
-    let schema = &schema;
-    let async_control = Arc::new(AsyncControl::default());
-    type WorkerOutcome = Result<(TripleStore, WorkerStats), WorkerError>;
-    let mut results: Vec<Option<WorkerOutcome>> = (0..cfg.k).map(|_| None).collect();
-    let scope_ok = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.k);
-        let mut parts_iter = bases.into_iter();
-        let mut rules_iter = rules_per_worker.into_iter();
-        let mut routing_iter = routing.into_iter();
-        let mut fabric_iter = fabric.into_iter();
-        for id in 0..cfg.k {
-            // the iterators have exactly k elements by construction
-            let (Some(base), Some(rules), Some(routing), Some(comm)) = (
-                parts_iter.next(),
-                rules_iter.next(),
-                routing_iter.next(),
-                fabric_iter.next(),
-            ) else {
-                break;
-            };
-            let barrier = Arc::clone(&barrier);
-            let total_sent = Arc::clone(&total_sent);
-            let flags = Arc::clone(&flags);
-            let progress = Arc::clone(&progress[id]);
-            let async_control = Arc::clone(&async_control);
-            let materialization = resolve_materialization(cfg.materialization, cfg.k);
-            let rounds_mode = cfg.rounds;
-            let round_timeout = cfg.round_timeout;
-            let schema = schema.clone();
-            handles.push(scope.spawn(move |_| {
-                let contain_barrier = Arc::clone(&barrier);
-                let contain_flags = Arc::clone(&flags);
-                let contain_progress = Arc::clone(&progress);
-                let contain_async = Arc::clone(&async_control);
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
+    let schema = &plan.schema;
+    let workers = std::mem::take(&mut plan.bases)
+        .into_iter()
+        .zip(std::mem::take(&mut plan.rules_per_worker))
+        .zip(std::mem::take(&mut plan.routing))
+        .zip(fabric);
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .enumerate()
+            .map(|(id, (((base, rules), routing), comm))| {
+                let sync = match cfg.rounds {
+                    RoundMode::Barrier => RoundSync::Barrier {
+                        barrier: Arc::clone(&barrier),
+                        total_sent: Arc::clone(&total_sent),
+                        round_timeout: cfg.round_timeout,
+                    },
+                    RoundMode::Async => RoundSync::Async(Arc::clone(&async_control)),
+                };
+                let (barrier, flags, async_control) = (&barrier, &flags, &async_control);
+                let progress = &progress[id];
+                scope.spawn(move || {
                     let mut store = TripleStore::new();
-                    store.extend(schema);
+                    store.extend(schema.iter().copied());
                     store.extend(base);
                     let ctx = WorkerCtx {
                         id,
@@ -544,93 +516,109 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
                         reasoner: Reasoner::new(rules, materialization),
                         routing,
                         comm,
-                        barrier,
-                        total_sent,
-                        flags,
-                        round_timeout,
-                        progress,
+                        sync,
+                        flags: Arc::clone(flags),
+                        progress: Arc::clone(progress),
                     };
-                    match rounds_mode {
-                        RoundMode::Barrier => run_worker(ctx),
-                        RoundMode::Async => run_worker_async(ctx, async_control),
-                    }
-                }));
-                match outcome {
-                    Ok(r) => r,
-                    Err(payload) => {
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_worker(ctx)));
+                    outcome.unwrap_or_else(|payload| {
                         // Containment: raise the flag *before* defecting,
                         // then release anyone the dead worker would have
                         // kept waiting (see worker.rs module docs).
-                        contain_flags.fail();
-                        contain_barrier.defect();
-                        contain_async
-                            .exit
-                            .store(true, Ordering::SeqCst);
+                        flags.fail();
+                        barrier.defect();
+                        async_control.exit.store(true, Ordering::SeqCst);
                         Err(WorkerError::Panicked {
                             worker: id,
-                            round: contain_progress.load(Ordering::Relaxed),
+                            round: progress.load(Ordering::Relaxed),
                             message: panic_message(payload.as_ref()),
                         })
-                    }
-                }
-            }));
-        }
-        for (id, h) in handles.into_iter().enumerate() {
-            results[id] = Some(h.join().unwrap_or_else(|_| {
-                Err(WorkerError::Panicked {
-                    worker: id,
-                    round: 0,
-                    message: "worker thread died outside containment".to_string(),
+                    })
                 })
-            }));
-        }
-    })
-    .is_ok();
-    if !scope_ok {
-        return Err(RunError::Workers {
-            errors: vec![WorkerError::Panicked {
-                worker: 0,
-                round: 0,
-                message: "worker scope tore down abnormally".to_string(),
-            }],
-        });
-    }
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(id, h)| {
+                h.join().unwrap_or_else(|_| {
+                    Err(WorkerError::Panicked {
+                        worker: id,
+                        round: 0,
+                        message: "worker thread died outside containment".to_string(),
+                    })
+                })
+            })
+            .collect()
+    });
     let host_parallel_time = t_par.elapsed();
 
-    // Aggregate: union the surviving partitions back into the master
-    // graph; collect structured errors for the rest.
-    let rec = obs::global();
-    let mut lane = rec.track("master");
+    let mut errors = Vec::new();
+    let finals = outcomes
+        .into_iter()
+        .map(|r| r.map_err(|e| errors.push(e)).ok())
+        .collect();
+    let mut lane = obs::global().track("master");
+    finish_run(
+        graph,
+        cfg,
+        &plan,
+        &mut lane,
+        WorkersDone {
+            finals,
+            errors,
+            started: start_total,
+            before_len,
+            host_parallel_time,
+            wire: None,
+        },
+    )
+}
+
+/// What the worker phase of a run hands to [`finish_run`].
+pub struct WorkersDone<S> {
+    /// Per worker: its final store and counters, `None` for a lost worker.
+    pub finals: Vec<Option<(S, WorkerStats)>>,
+    /// Structured errors for the lost workers.
+    pub errors: Vec<WorkerError>,
+    /// When the run started (before partitioning).
+    pub started: Instant,
+    /// Graph size before the run.
+    pub before_len: usize,
+    /// Host wall-clock from worker spawn to the last worker's end.
+    pub host_parallel_time: Duration,
+    /// Wire accounting, for runtimes whose exchanges cross real sockets.
+    pub wire: Option<crate::stats::WireBytes>,
+}
+
+/// The master's tail of Algorithm 3, shared by every runtime: union the
+/// surviving stores into `graph`, recover or report lost workers,
+/// reconstruct the cluster's wall-clock and assemble the [`RunReport`].
+/// Aggregate and recovery spans go on `lane`.
+pub fn finish_run<S: Into<TripleStore>>(
+    graph: &mut Graph,
+    cfg: &ParallelConfig,
+    plan: &RunPlan,
+    lane: &mut obs::Track,
+    done: WorkersDone<S>,
+) -> Result<RunReport, RunError> {
     let agg_span = lane.begin(obs::Phase::Aggregate, obs::NO_ROUND);
     let t_agg = Instant::now();
-    let mut worker_stats = Vec::with_capacity(cfg.k);
-    let mut output_sizes = Vec::with_capacity(cfg.k);
-    let mut worker_errors: Vec<WorkerError> = Vec::new();
-    for (id, r) in results.into_iter().enumerate() {
-        match r {
-            Some(Ok((store, stats))) => {
+    let k = plan.k;
+    let mut worker_stats = Vec::with_capacity(k);
+    let mut output_sizes = Vec::with_capacity(k);
+    for (id, f) in done.finals.into_iter().enumerate() {
+        match f {
+            Some((store, stats)) => {
+                let store: TripleStore = store.into();
                 output_sizes.push(store.len());
                 graph.store.union_with(&store);
                 worker_stats.push(stats);
             }
-            Some(Err(e)) => {
-                worker_errors.push(e);
-                worker_stats.push(WorkerStats {
-                    id,
-                    ..WorkerStats::default()
-                });
-            }
-            None => {
-                worker_errors.push(WorkerError::Panicked {
-                    worker: id,
-                    round: 0,
-                    message: "worker was never spawned".to_string(),
-                });
-                worker_stats.push(WorkerStats {
-                    id,
-                    ..WorkerStats::default()
-                });
-            }
+            None => worker_stats.push(WorkerStats {
+                id,
+                ..WorkerStats::default()
+            }),
         }
     }
 
@@ -640,15 +628,16 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
     // exactly the serial closure. Guaranteed for data partitioning,
     // where every worker ran the complete rule-base; rule/hybrid losses
     // are reported instead.
+    let worker_errors = done.errors;
     let mut recovered = false;
     if !worker_errors.is_empty() {
-        if !recoverable {
+        if !plan.recoverable(cfg.recovery) {
             return Err(RunError::Workers {
                 errors: worker_errors,
             });
         }
         let rec_span = lane.begin(obs::Phase::Recovery, obs::NO_ROUND);
-        reclose_serial(graph, cfg, &all_rules);
+        reclose_serial(graph, cfg, &plan.all_rules);
         lane.end(rec_span);
         recovered = true;
     }
@@ -676,21 +665,21 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
 
     let closure_size = graph.len();
     Ok(RunReport {
-        k: cfg.k,
+        k,
         breakdown: PhaseBreakdown::from_workers(&worker_stats, aggregation),
         workers: worker_stats,
-        partition_time,
+        partition_time: plan.partition_time,
         parallel_time,
-        host_parallel_time,
-        total_time: start_total.elapsed(),
-        derived: closure_size - before_len,
+        host_parallel_time: done.host_parallel_time,
+        total_time: done.started.elapsed(),
+        derived: closure_size - done.before_len,
         closure_size,
         output_replication: or_excess(&output_sizes, closure_size),
-        partition_quality,
-        edge_cut,
+        partition_quality: plan.quality.clone(),
+        edge_cut: plan.edge_cut,
         worker_errors,
         recovered,
-        wire: None,
+        wire: done.wire,
     })
 }
 

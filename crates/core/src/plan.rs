@@ -28,12 +28,12 @@ use crate::config::PartitioningStrategy;
 use crate::error::RunError;
 use crate::frame::encode_triple_block;
 use crate::master::{build_partitions, PartitionParts};
-use crate::stats::plan_cost_model;
 use crate::worker::Routing;
 use owlpar_datalog::ast::{Atom, TermPat};
 use owlpar_datalog::Rule;
 use owlpar_lint::{
     analyze_plan, LintOptions, PartitionContext, PlanInputs, PlanReport, RouteModel,
+    WireCostModel,
 };
 use owlpar_partition::metrics::PartitionQuality;
 use owlpar_partition::multilevel::PartitionOptions;
@@ -243,11 +243,11 @@ fn hybrid_cross_fraction(quality: Option<&PartitionQuality>) -> f64 {
         .clamp(MIN_CROSS_FRACTION, 1.0)
 }
 
-/// v2 `Setup` payload size estimate for one worker, mirroring the
+/// `Setup` payload size estimate for one worker, mirroring the
 /// cluster wire format's components: exact delta/varint triple blocks
 /// for schema + base, compact rules, the routing table, digests and
 /// framing.
-fn setup_bytes_v2(
+fn setup_bytes(
     schema_block: u64,
     base_block: u64,
     all_rules: &[Rule],
@@ -265,36 +265,6 @@ fn setup_bytes_v2(
         + frame_overhead
 }
 
-/// Exact v1 `Setup` cost for one worker — same formula the wire
-/// accounting's `v1_setup_payload_cost` uses: raw 12-byte triples,
-/// fixed 15-byte atoms, both rule lists in full, 8-byte ownership pairs.
-fn setup_bytes_v1(
-    schema: usize,
-    base: usize,
-    all_rules: &[Rule],
-    my_rules: &[Rule],
-    owner_pairs: u64,
-    assignment_len: u64,
-) -> u64 {
-    let atom = 15u64;
-    let rule = |r: &Rule| 4 + r.name.len() as u64 + atom + 2 + atom * r.body.len() as u64;
-    let rules = |rs: &[Rule]| 4 + rs.iter().map(rule).sum::<u64>();
-    let owner = if owner_pairs > 0 { 4 + 8 * owner_pairs } else { 0 };
-    let assignment = if assignment_len > 0 {
-        4 + 4 * assignment_len
-    } else {
-        0
-    };
-    4 + 2
-        + (4 + 12 * schema as u64)
-        + (4 + 12 * base as u64)
-        + rules(all_rules)
-        + rules(my_rules)
-        + 1
-        + owner
-        + assignment
-}
-
 /// Analyze one **concrete** strategy against a prepared planning base:
 /// partition for real (the same partitioner the runtime uses), shadow
 /// the result into [`PlanInputs`], and run the OWL011–OWL016 pass.
@@ -307,7 +277,7 @@ pub fn analyze_strategy(
     let context = context_of(strategy)?;
     let mut opts = LintOptions::for_context(context);
     opts.predicate_counts = Some(base.hist.clone());
-    let cost = plan_cost_model();
+    let cost = WireCostModel::default();
     let label = strategy.label().to_string();
 
     // A deny-level rule-base finding makes the plan unsound regardless
@@ -324,7 +294,6 @@ pub fn analyze_strategy(
             productions: Some(base.productions.clone()),
             exchange_discount: 1.0,
             setup_bytes: None,
-            setup_v1_bytes: None,
             cost,
         };
         return Ok(analyze_plan(&base.all_rules, &opts, &inputs));
@@ -373,41 +342,27 @@ pub fn analyze_strategy(
             data_shards: *data_shards as usize,
         },
     };
-    let (owner_pairs, assignment_len, routing_entries) = match routing.first() {
-        Some(Routing::Data { owner }) => (owner.len() as u64, 0, owner.len() as u64),
-        Some(Routing::Rule { partitions, .. }) => {
-            let n = partitions.assignment.len() as u64;
-            (0, n, n)
-        }
+    let routing_entries = match routing.first() {
+        Some(Routing::Data { owner }) => owner.len() as u64,
+        Some(Routing::Rule { partitions, .. }) => partitions.assignment.len() as u64,
         Some(Routing::Hybrid { owner, groups, .. }) => {
-            let o = owner.len() as u64;
-            let a = groups.assignment.len() as u64;
-            (o, a, o + a)
+            (owner.len() + groups.assignment.len()) as u64
         }
-        None => (0, 0, 0),
+        None => 0,
     };
 
     // Price the setup phase with the real triple-block encoding.
     let schema_block = encode_triple_block(&base.schema).len() as u64;
     let mut setup = 0u64;
-    let mut setup_v1 = 0u64;
     for (w, b) in bases.iter().enumerate() {
         let base_block = encode_triple_block(b).len() as u64;
-        setup += setup_bytes_v2(
+        setup += setup_bytes(
             schema_block,
             base_block,
             &base.all_rules,
             rules_per_worker[w].len(),
             routing_entries,
             cost.frame_overhead,
-        );
-        setup_v1 += setup_bytes_v1(
-            base.schema.len(),
-            b.len(),
-            &base.all_rules,
-            &rules_per_worker[w],
-            owner_pairs,
-            assignment_len,
         );
     }
 
@@ -421,7 +376,6 @@ pub fn analyze_strategy(
         productions: Some(base.productions.clone()),
         exchange_discount: EXCHANGE_DEDUP_DISCOUNT,
         setup_bytes: Some(setup),
-        setup_v1_bytes: Some(setup_v1),
         cost,
     };
     Ok(analyze_plan(&base.all_rules, &opts, &inputs))
@@ -479,8 +433,7 @@ pub fn analyze_rules_only(
         productions: None,
         exchange_discount: 1.0,
         setup_bytes: None,
-        setup_v1_bytes: None,
-        cost: plan_cost_model(),
+        cost: WireCostModel::default(),
     };
     Ok(analyze_plan(rules, &opts, &inputs))
 }

@@ -62,39 +62,13 @@ pub struct WirePhase {
     pub frames: u64,
     /// Triples carried inside those frames.
     pub triples: u64,
-    /// What the **v1** wire format would have spent on the same logical
-    /// transfer. For round/final phases this is the conservative floor
-    /// `12 × triples` (v1 frame headers and counts excluded); for the
-    /// setup phase it is the exact v1 `Setup` encoding — raw triples,
-    /// 8-byte ownership pairs, both rule lists in full, re-shipped every
-    /// run because v1 had no partition cache.
-    pub v1_bytes: u64,
 }
 
 impl WirePhase {
-    /// Record one frame of `bytes` carrying `triples` triples, that v1
-    /// would have moved as `v1_bytes`.
-    pub fn add(&mut self, bytes: u64, triples: u64, v1_bytes: u64) {
-        self.bytes += bytes;
-        self.frames += 1;
-        self.triples += triples;
-        self.v1_bytes += v1_bytes;
-    }
-
     /// What the same triples would have cost at the raw 12-byte-per-triple
     /// record encoding, triples alone (no headers, no rules, no tables).
     pub fn raw_triple_bytes(&self) -> u64 {
         self.triples * 12
-    }
-
-    /// v1-equivalent over actual bytes; > 1.0 means the compact
-    /// encoding is winning. 0 when nothing was sent.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.bytes == 0 {
-            0.0
-        } else {
-            self.v1_bytes as f64 / self.bytes as f64
-        }
     }
 }
 
@@ -151,21 +125,15 @@ impl WireBytes {
             + self.finals.raw_triple_bytes()
     }
 
-    /// Every byte the v1 format would have spent on this run's
-    /// `Setup`/`Triples`/`Deliver`/`Final` traffic (control traffic
-    /// costs the same in both and is counted on both sides).
-    pub fn total_v1_bytes(&self) -> u64 {
-        self.setup.v1_bytes + self.rounds.v1_bytes + self.finals.v1_bytes + self.control_bytes
-    }
-
-    /// Whole-run compression ratio (v1-equivalent / actual, data phases
-    /// and control overhead included on both sides).
+    /// Whole-run compression ratio: every triple moved at the raw
+    /// 12 B/triple encoding over every byte actually on the wire. 0 when
+    /// nothing was sent.
     pub fn compression_ratio(&self) -> f64 {
         let total = self.total_bytes();
         if total == 0 {
             0.0
         } else {
-            self.total_v1_bytes() as f64 / total as f64
+            self.total_raw_triple_bytes() as f64 / total as f64
         }
     }
 
@@ -173,7 +141,7 @@ impl WireBytes {
     pub fn summary(&self) -> String {
         format!(
             "wire: {} B total ({} setup, {} rounds, {} final, {} control), \
-             {} triple(s) moved, {:.2}x vs v1 wire, cache {} hit(s) / {} miss(es)",
+             {} triple(s) moved, {:.2}x vs raw, cache {} hit(s) / {} miss(es)",
             self.total_bytes(),
             self.setup.bytes,
             self.rounds.bytes,
@@ -204,56 +172,28 @@ impl WireBytes {
             .collect();
         format!(
             "{{\"setup_bytes\":{},\"setup_frames\":{},\"setup_triples\":{},\
-             \"setup_v1_bytes\":{},\
              \"rounds_bytes\":{},\"rounds_frames\":{},\"rounds_triples\":{},\
-             \"rounds_v1_bytes\":{},\
              \"final_bytes\":{},\"final_frames\":{},\"final_triples\":{},\
-             \"final_v1_bytes\":{},\
              \"control_bytes\":{},\"total_bytes\":{},\"raw_triple_bytes\":{},\
-             \"v1_total_bytes\":{},\
              \"compression_ratio\":{:.4},\"cache_hits\":{},\"cache_misses\":{},\
              \"per_round\":[{}]}}",
             self.setup.bytes,
             self.setup.frames,
             self.setup.triples,
-            self.setup.v1_bytes,
             self.rounds.bytes,
             self.rounds.frames,
             self.rounds.triples,
-            self.rounds.v1_bytes,
             self.finals.bytes,
             self.finals.frames,
             self.finals.triples,
-            self.finals.v1_bytes,
             self.control_bytes,
             self.total_bytes(),
             self.total_raw_triple_bytes(),
-            self.total_v1_bytes(),
             self.compression_ratio(),
             self.cache_hits,
             self.cache_misses,
             per_round_json.join(","),
         )
-    }
-}
-
-/// The byte-cost constants the static plan analyzer uses, tied to this
-/// module's `WireLedger` conventions so predicted and measured bytes are
-/// commensurable:
-///
-/// * `frame_overhead` — the `len u32 | crc u32` framing every frame pays;
-/// * `v1_triple_bytes` — [`WirePhase::raw_triple_bytes`]'s 12 B/triple
-///   v1 floor;
-/// * `round_triple_bytes` — measured v2 delta/varint cost of one triple
-///   in a round batch (sorted blocks amortize to ~3.5 B on the bench KB);
-/// * `deliver_frame_bytes` — fixed cost of an empty `Deliver` verdict
-///   frame, paid per worker per round.
-pub fn plan_cost_model() -> owlpar_lint::WireCostModel {
-    owlpar_lint::WireCostModel {
-        frame_overhead: 8,
-        v1_triple_bytes: 12.0,
-        round_triple_bytes: 3.5,
-        deliver_frame_bytes: 18.0,
     }
 }
 

@@ -1,11 +1,11 @@
-//! The per-node loop of Algorithm 3.
+//! The per-node loop of Algorithm 3: one round engine, three exchanges.
 //!
-//! Each worker wraps a serial reasoner over its private store and runs
-//! barrier-synchronized rounds: close the local store, route new
-//! derivations to the partitions that may need them, exchange, repeat.
-//! Termination: a round in which *no* worker sent anything (detected via
-//! a shared cumulative send counter read between the two round barriers,
-//! so every worker reaches the same verdict in the same round).
+//! [`run_rounds`] is the paper's loop, written once: close the local
+//! store, route new derivations to the partitions that may need them,
+//! exchange, repeat until the round verdict says stop. How a round's
+//! triples travel and who decides the verdict is an [`Exchange`]'s job:
+//! barrier rounds and the §VI-B asynchronous rounds in this module, the
+//! TCP star in `owlpar-net`.
 //!
 //! # Fault containment
 //!
@@ -24,18 +24,19 @@
 //! observe it one round apart (one breaks now, the other only after
 //! another barrier crossing). The liveness rule that makes this safe is
 //! that **every** exit from the round loop — failure drain, normal
-//! quiescence, or structured error — defects from the barrier, so a
-//! worker that leaves can never strand a slower peer mid-round; the
-//! peer's next barrier releases against the shrunken membership and its
-//! own flag check ends its loop.
+//! quiescence, or structured error — defects from the barrier
+//! ([`Exchange::leave`]), so a worker that leaves can never strand a
+//! slower peer mid-round; the peer's next barrier releases against the
+//! shrunken membership and its own flag check ends its loop.
 
+use crate::backoff::Backoff;
 use crate::barrier::RoundBarrier;
 use crate::comm::WorkerComm;
 use crate::cputime::CpuTimer;
 use crate::error::{CommError, WorkerError};
 use crate::stats::WorkerStats;
 use owlpar_datalog::{Reasoner, Rule};
-use owlpar_obs::{Metric, Phase};
+use owlpar_obs::{Metric, Phase, Track, NO_ROUND};
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{NodeId, Triple, TripleStore};
@@ -77,9 +78,7 @@ pub enum Routing {
 }
 
 impl Routing {
-    /// Destinations of `t` other than `me` (public so out-of-process
-    /// worker loops — the `owlpar-net` cluster runtime — route exactly
-    /// like the in-process loop).
+    /// Destinations of `t` other than `me`.
     pub fn destinations(&self, t: &Triple, me: u32, out: &mut Vec<u32>) {
         out.clear();
         match self {
@@ -154,28 +153,35 @@ impl RunFlags {
 /// Shared state for distributed termination detection in the
 /// asynchronous mode: exit when every worker is idle and every sent
 /// triple has been processed.
+#[derive(Default)]
 pub struct AsyncControl {
     /// Cumulative triples sent (incremented *before* the send).
     pub total_sent: AtomicU64,
     /// Cumulative received triples fully processed.
     pub total_done: AtomicU64,
     /// Workers currently idle (inbox empty, nothing to derive).
-    pub idle: std::sync::atomic::AtomicUsize,
+    pub idle: AtomicUsize,
     /// Latched once global quiescence is observed (or a worker is lost —
     /// the async mode has no barrier, so the exit flag doubles as its
     /// failure broadcast).
-    pub exit: std::sync::atomic::AtomicBool,
+    pub exit: AtomicBool,
 }
 
-impl Default for AsyncControl {
-    fn default() -> Self {
-        AsyncControl {
-            total_sent: AtomicU64::new(0),
-            total_done: AtomicU64::new(0),
-            idle: std::sync::atomic::AtomicUsize::new(0),
-            exit: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
+/// How a worker's rounds are synchronized with its peers.
+pub enum RoundSync {
+    /// Barrier-synchronized rounds (Algorithm 3).
+    Barrier {
+        /// Round barrier shared by all workers (timeout- and
+        /// defection-aware).
+        barrier: Arc<RoundBarrier>,
+        /// Cumulative count of triples sent by anyone (termination
+        /// detector).
+        total_sent: Arc<AtomicU64>,
+        /// Patience at each barrier crossing.
+        round_timeout: Duration,
+    },
+    /// The asynchronous variant of §VI-B; requires the channel transport.
+    Async(Arc<AsyncControl>),
 }
 
 /// Everything a worker thread needs.
@@ -194,350 +200,436 @@ pub struct WorkerCtx {
     pub routing: Routing,
     /// Communication endpoint.
     pub comm: WorkerComm,
-    /// Round barrier shared by all workers (timeout- and
-    /// defection-aware).
-    pub barrier: Arc<RoundBarrier>,
-    /// Cumulative count of triples sent by anyone (termination detector).
-    pub total_sent: Arc<AtomicU64>,
+    /// Round synchronization: barrier or asynchronous.
+    pub sync: RoundSync,
     /// Run-wide failure flag.
     pub flags: Arc<RunFlags>,
-    /// Patience at each barrier crossing.
-    pub round_timeout: Duration,
     /// Last round this worker entered — read by the master's panic
     /// containment to report *where* a worker died.
     pub progress: Arc<AtomicUsize>,
 }
 
-/// Record the failure, leave the barrier, and hand back the error.
-/// The flag **must** be set before the defection — see the module docs.
-fn abort(flags: &RunFlags, barrier: &RoundBarrier, err: WorkerError) -> WorkerError {
-    flags.fail();
-    barrier.defect();
-    err
+/// The transport half of an Algorithm 3 round, driven by [`run_rounds`].
+/// Hooks are called in this order each round: `begin_round`, `send`,
+/// `finish_round`; then once, on leaving the loop, `fail` (only when an
+/// error ends the run) followed by `leave`.
+pub trait Exchange {
+    /// What a failing exchange reports.
+    type Error;
+
+    /// Round `round` starts: fire injected faults and delays.
+    fn begin_round(&mut self, round: usize) -> Result<(), Self::Error>;
+
+    /// Ship `outbox[w]` to worker `w` (this worker's own slot is empty).
+    /// Returns the triples sent.
+    fn send(&mut self, round: usize, outbox: &[Vec<Triple>]) -> Result<u64, Self::Error>;
+
+    /// Close round `round`, in which this worker sent `sent` triples:
+    /// wait for the peers, collect the inbound triples and decide whether
+    /// the run stops. Wait and collect spans go on `lane`.
+    fn finish_round(
+        &mut self,
+        round: usize,
+        sent: u64,
+        lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), Self::Error>;
+
+    /// The run is ending with an error: broadcast the failure.
+    fn fail(&mut self);
+
+    /// Leave the run — on every exit path, after `fail` if it ran.
+    fn leave(&mut self);
 }
 
-/// Cross the barrier or fail with a structured timeout.
-fn cross_barrier(ctx: &WorkerCtx, round: usize) -> Result<(), WorkerError> {
-    match ctx.barrier.wait(ctx.round_timeout) {
-        Ok(()) => Ok(()),
-        Err(t) => Err(abort(
-            &ctx.flags,
-            &ctx.barrier,
-            WorkerError::BarrierTimeout {
-                worker: ctx.id,
-                round,
-                waited: t.waited,
-            },
-        )),
+/// The trace round tag for loop round `round`.
+fn trace_round(round: usize) -> u32 {
+    u32::try_from(round).unwrap_or(NO_ROUND)
+}
+
+/// Run Algorithm 3's round loop for worker `me` of `k` to its stop
+/// verdict: close `store`, route derivations through `routing`, exchange
+/// through `exchange`, absorb, repeat. Returns the worker's counters
+/// (`skipped`/`io_retries` are the transport's to fill in).
+pub fn run_rounds<X: Exchange + ?Sized>(
+    me: u32,
+    k: usize,
+    store: &mut TripleStore,
+    reasoner: &Reasoner,
+    routing: &Routing,
+    lane: &mut Track,
+    exchange: &mut X,
+) -> Result<WorkerStats, X::Error> {
+    let outcome = drive_rounds(me, k, store, reasoner, routing, lane, exchange);
+    if outcome.is_err() {
+        exchange.fail();
     }
+    exchange.leave();
+    outcome
 }
 
-/// Run the worker to quiescence. Returns the final local store and stats,
-/// or a structured error if this worker dropped out of the run.
-pub fn run_worker(mut ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), WorkerError> {
+fn drive_rounds<X: Exchange + ?Sized>(
+    me: u32,
+    k: usize,
+    store: &mut TripleStore,
+    reasoner: &Reasoner,
+    routing: &Routing,
+    lane: &mut Track,
+    exchange: &mut X,
+) -> Result<WorkerStats, X::Error> {
     let mut stats = WorkerStats {
-        id: ctx.id,
+        id: me as usize,
         ..WorkerStats::default()
     };
-    let me = ctx.id as u32;
-    // Ambient tracing lane for this worker (one branch per span when the
-    // recorder is disabled; flushed on drop, including error exits).
-    let rec = owlpar_obs::global();
-    let mut lane = rec.track(&format!("worker {}", ctx.id));
-    // CPU charged to the round in progress (reason + io); pushed at each
-    // barrier so the master can replay the synchronous schedule.
+    // CPU charged to the round in progress (reason + io); closed with the
+    // round's sends so the master can replay the synchronous schedule.
     let mut round_cpu = Duration::ZERO;
-
-    // Round 0 closes the base tuples; later rounds close received deltas.
-    let span = lane.begin(Phase::Join, owlpar_obs::NO_ROUND);
-    let t = CpuTimer::start();
-    let base: Vec<Triple> = ctx.store.iter().copied().collect();
-    let mut derived = ctx.reasoner.materialize_delta(&mut ctx.store, base);
-    let dt = t.elapsed();
-    lane.end(span);
-    stats.reason_time += dt;
-    round_cpu += dt;
-    stats.derived += derived.len();
-
-    let mut last_total = 0u64;
     let mut dests: Vec<u32> = Vec::with_capacity(2);
-    loop {
-        stats.rounds += 1;
-        let round = ctx.comm.round();
-        ctx.progress.store(round, Ordering::Relaxed);
-        let trace_round = u32::try_from(round).unwrap_or(owlpar_obs::NO_ROUND);
-        let round_span = lane.begin(Phase::Round, trace_round);
-
-        // injected faults pinned to the start of this round
-        if ctx.comm.panic_scheduled(round) {
-            ctx.comm.fire_scheduled_panic(round); // contained by the master
-        }
-        if let Some(d) = ctx.comm.scheduled_delay(round) {
-            std::thread::sleep(d);
-        }
-
-        // route + send
-        let span = lane.begin(Phase::Exchange, trace_round);
+    // `None` before round 0, whose join closes the base tuples; later
+    // joins close the fresh part of the previous round's inbox.
+    let mut inbox: Option<Vec<Triple>> = None;
+    let mut open_round = None;
+    for round in 0usize.. {
+        let join_tag = round.checked_sub(1).map_or(NO_ROUND, trace_round);
+        let span = lane.begin(Phase::Join, join_tag);
         let t = CpuTimer::start();
-        let mut outbox: Vec<Vec<Triple>> = vec![Vec::new(); ctx.k];
-        for tr in &derived {
-            ctx.routing.destinations(tr, me, &mut dests);
-            for &d in &dests {
-                outbox[d as usize].push(*tr);
-            }
-        }
-        let mut sent_now = 0u64;
-        for (to, batch) in outbox.iter().enumerate() {
-            match ctx.comm.send(to, batch) {
-                Ok(()) => sent_now += batch.len() as u64,
-                // A hung-up peer is already dead; its own structured
-                // error decides the run. Dropping the message is safe:
-                // recovery re-closes from the surviving stores.
-                Err(CommError::Disconnected { .. }) => {}
-                Err(source) => {
-                    return Err(abort(
-                        &ctx.flags,
-                        &ctx.barrier,
-                        WorkerError::Comm {
-                            worker: ctx.id,
-                            source,
-                        },
-                    ));
-                }
-            }
-        }
-        stats.sent += sent_now as usize;
-        ctx.total_sent.fetch_add(sent_now, Ordering::SeqCst);
-        let dt = t.elapsed();
-        lane.end(span);
-        lane.count(Phase::Exchange, trace_round, Metric::Sent, sent_now);
-        stats.io_time += dt;
-        round_cpu += dt;
-
-        // barrier A closes the round's send window — and the round's CPU
-        // account (sync time is reconstructed by the master afterwards)
-        stats.round_cpu.push(round_cpu);
-        round_cpu = Duration::ZERO;
-        let span = lane.begin(Phase::BarrierWait, trace_round);
-        cross_barrier(&ctx, round)?;
-        lane.end(span);
-
-        // receive (charged to the next round)
-        let span = lane.begin(Phase::Collect, trace_round);
-        let t = CpuTimer::start();
-        let received = match ctx.comm.collect() {
-            Ok(r) => r,
-            Err(source) => {
-                return Err(abort(
-                    &ctx.flags,
-                    &ctx.barrier,
-                    WorkerError::Comm {
-                        worker: ctx.id,
-                        source,
-                    },
-                ));
-            }
+        let fresh: Vec<Triple> = match inbox.take() {
+            None => store.iter().copied().collect(),
+            Some(received) => received
+                .into_iter()
+                .filter(|tr| store.insert(*tr))
+                .collect(),
         };
-        stats.received += received.len();
-        let dt = t.elapsed();
-        lane.end(span);
-        stats.io_time += dt;
-        round_cpu += dt;
-
-        // read the verdict inside the [A, B] window, then barrier B
-        let now_total = ctx.total_sent.load(Ordering::SeqCst);
-        let span = lane.begin(Phase::BarrierWait, trace_round);
-        cross_barrier(&ctx, round)?;
-        lane.end(span);
-        if ctx.flags.failed() {
-            lane.end(round_span);
-            break; // a worker was lost: drain cleanly, in the same round
-                   // as every other survivor (see module docs)
-        }
-        if now_total == last_total {
-            lane.end(round_span);
-            break; // nobody moved a triple this round: global quiescence
-        }
-        last_total = now_total;
-
-        // absorb + incremental closure
-        let span = lane.begin(Phase::Join, trace_round);
-        let t = CpuTimer::start();
-        let fresh: Vec<Triple> = received
-            .into_iter()
-            .filter(|tr| ctx.store.insert(*tr))
-            .collect();
-        derived = ctx.reasoner.materialize_delta(&mut ctx.store, fresh);
+        let derived = reasoner.materialize_delta(store, fresh);
         let dt = t.elapsed();
         lane.end(span);
         stats.reason_time += dt;
         round_cpu += dt;
         stats.derived += derived.len();
-        lane.end(round_span);
+        if let Some(span) = open_round.take() {
+            lane.end(span);
+        }
+
+        stats.rounds += 1;
+        let tag = trace_round(round);
+        let round_span = lane.begin(Phase::Round, tag);
+        exchange.begin_round(round)?;
+
+        // route + send
+        let span = lane.begin(Phase::Exchange, tag);
+        let t = CpuTimer::start();
+        let mut outbox: Vec<Vec<Triple>> = vec![Vec::new(); k];
+        for tr in &derived {
+            routing.destinations(tr, me, &mut dests);
+            for &d in &dests {
+                outbox[d as usize].push(*tr);
+            }
+        }
+        let sent = exchange.send(round, &outbox)?;
+        let dt = t.elapsed();
+        lane.count(Phase::Exchange, tag, Metric::Sent, sent);
+        lane.end(span);
+        stats.sent += sent as usize;
+        stats.io_time += dt;
+        round_cpu += dt;
+        // The round's CPU account closes with its sends; waiting and
+        // collecting are charged to the next round.
+        stats.round_cpu.push(std::mem::take(&mut round_cpu));
+
+        let t = CpuTimer::start();
+        let (received, stop) = exchange.finish_round(round, sent, lane)?;
+        let dt = t.elapsed();
+        lane.count(Phase::Collect, tag, Metric::Received, received.len() as u64);
+        stats.received += received.len();
+        stats.io_time += dt;
+        round_cpu += dt;
+        if stop {
+            lane.end(round_span);
+            break;
+        }
+        inbox = Some(received);
+        open_round = Some(round_span);
     }
-    // Leaving the run — on drain *or* quiescence — must shrink the
-    // barrier membership: a peer that raced past our flag check may
-    // already be waiting on the next barrier, and without this defection
-    // it would stall there until its round timeout (see module docs).
-    ctx.barrier.defect();
     if round_cpu > Duration::ZERO {
         stats.round_cpu.push(round_cpu); // trailing collect work
     }
-
-    stats.skipped = ctx.comm.skipped().len();
-    stats.io_retries = ctx.comm.io_retries as usize;
-    stats.output_size = ctx.store.len();
-    Ok((ctx.store, stats))
+    stats.output_size = store.len();
+    Ok(stats)
 }
 
-/// The asynchronous variant of Algorithm 3 proposed in §VI-B: no round
-/// barrier — a worker consumes whatever has arrived and keeps deriving.
-/// Termination: every worker idle ∧ every sent triple processed
-/// (`AsyncControl`). Requires the channel transport.
-///
-/// With no barrier to defect from, a failing worker broadcasts through
-/// `AsyncControl::exit` instead, so no survivor spins forever waiting
-/// for a quiescence that can no longer be reached.
-pub fn run_worker_async(
-    mut ctx: WorkerCtx,
-    control: Arc<AsyncControl>,
-) -> Result<(TripleStore, WorkerStats), WorkerError> {
-    use std::sync::atomic::Ordering::SeqCst;
-    let mut stats = WorkerStats {
-        id: ctx.id,
-        ..WorkerStats::default()
+/// Run an in-process worker to quiescence over the round
+/// synchronization in `ctx.sync`. Returns the final local store and
+/// stats, or a structured error if this worker dropped out of the run.
+pub fn run_worker(ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), WorkerError> {
+    let WorkerCtx {
+        id,
+        k,
+        mut store,
+        reasoner,
+        routing,
+        mut comm,
+        sync,
+        flags,
+        progress,
+    } = ctx;
+    // Ambient tracing lane for this worker (one branch per span when the
+    // recorder is disabled; flushed on drop, including error exits).
+    let mut lane = owlpar_obs::global().track(&format!("worker {id}"));
+    let local = Local {
+        id,
+        comm: &mut comm,
+        flags: &flags,
+        progress: &progress,
     };
-    let me = ctx.id as u32;
-    let mut burst_cpu = Duration::ZERO;
+    let mut exchange: Box<dyn Exchange<Error = WorkerError> + '_> = match &sync {
+        RoundSync::Barrier {
+            barrier,
+            total_sent,
+            round_timeout,
+        } => Box::new(BarrierExchange {
+            local,
+            barrier,
+            total_sent,
+            round_timeout: *round_timeout,
+            last_total: 0,
+        }),
+        RoundSync::Async(control) => Box::new(AsyncExchange {
+            local,
+            control,
+            k,
+            processed: 0,
+        }),
+    };
+    let outcome = run_rounds(
+        id as u32,
+        k,
+        &mut store,
+        &reasoner,
+        &routing,
+        &mut lane,
+        &mut *exchange,
+    );
+    drop(exchange); // releases `comm`
+    let mut stats = outcome?;
+    stats.skipped = comm.skipped().len();
+    stats.io_retries = comm.io_retries as usize;
+    Ok((store, stats))
+}
 
-    let t = CpuTimer::start();
-    let base: Vec<Triple> = ctx.store.iter().copied().collect();
-    let mut derived = ctx.reasoner.materialize_delta(&mut ctx.store, base);
-    let dt = t.elapsed();
-    stats.reason_time += dt;
-    burst_cpu += dt;
-    stats.derived += derived.len();
+/// The in-process state both local exchanges share.
+struct Local<'a> {
+    id: usize,
+    comm: &'a mut WorkerComm,
+    flags: &'a RunFlags,
+    progress: &'a AtomicUsize,
+}
 
-    let mut dests: Vec<u32> = Vec::with_capacity(2);
-    'outer: loop {
-        stats.rounds += 1; // one burst = one "round" for accounting
-        let burst = stats.rounds - 1;
-        ctx.progress.store(burst, Ordering::Relaxed);
-        if ctx.comm.panic_scheduled(burst) {
-            ctx.comm.fire_scheduled_panic(burst); // contained by the master
-        }
-        if let Some(d) = ctx.comm.scheduled_delay(burst) {
+impl Local<'_> {
+    /// Record progress, then fire the faults pinned to `round`.
+    fn begin_round(&mut self, round: usize) {
+        self.progress.store(round, Ordering::Relaxed);
+        self.comm.fire_scheduled_panic(round); // contained by the master
+        if let Some(d) = self.comm.scheduled_delay(round) {
             std::thread::sleep(d);
         }
+    }
 
-        // route + send whatever the last burst derived
-        let t = CpuTimer::start();
-        let mut outbox: Vec<Vec<Triple>> = vec![Vec::new(); ctx.k];
-        for tr in &derived {
-            ctx.routing.destinations(tr, me, &mut dests);
-            for &d in &dests {
-                outbox[d as usize].push(*tr);
-            }
-        }
-        let sent_now: u64 = outbox.iter().map(|b| b.len() as u64).sum();
-        control.total_sent.fetch_add(sent_now, SeqCst);
+    /// Send every batch of `outbox`. A hung-up peer is already dead and
+    /// its own structured error decides the run, so its batch goes to
+    /// `on_lost` instead of failing this worker. Returns the triples
+    /// handed to live peers.
+    fn send_all(
+        &mut self,
+        outbox: &[Vec<Triple>],
+        mut on_lost: impl FnMut(u64),
+    ) -> Result<u64, WorkerError> {
+        let mut sent = 0u64;
         for (to, batch) in outbox.iter().enumerate() {
-            match ctx.comm.send(to, batch) {
-                Ok(()) => {}
-                Err(CommError::Disconnected { .. }) => {
-                    // dead peer; account its share as done so the in-flight
-                    // counter can still reach quiescence
-                    control.total_done.fetch_add(batch.len() as u64, SeqCst);
-                }
-                Err(source) => {
-                    ctx.flags.fail();
-                    control.exit.store(true, SeqCst);
-                    return Err(WorkerError::Comm {
-                        worker: ctx.id,
-                        source,
-                    });
-                }
+            match self.comm.send(to, batch) {
+                Ok(()) => sent += batch.len() as u64,
+                Err(CommError::Disconnected { .. }) => on_lost(batch.len() as u64),
+                Err(source) => return Err(self.comm_error(source)),
             }
         }
-        stats.sent += sent_now as usize;
-        let dt = t.elapsed();
-        stats.io_time += dt;
-        burst_cpu += dt;
-        stats.round_cpu.push(burst_cpu);
-        burst_cpu = Duration::ZERO;
+        Ok(sent)
+    }
 
+    fn comm_error(&self, source: CommError) -> WorkerError {
+        WorkerError::Comm {
+            worker: self.id,
+            source,
+        }
+    }
+}
+
+/// Barrier rounds over the in-process fabric.
+struct BarrierExchange<'a> {
+    local: Local<'a>,
+    barrier: &'a RoundBarrier,
+    total_sent: &'a AtomicU64,
+    round_timeout: Duration,
+    /// The cumulative send count at the previous round's verdict.
+    last_total: u64,
+}
+
+impl BarrierExchange<'_> {
+    /// Cross the barrier or fail with a structured timeout.
+    fn cross(&self, round: usize, lane: &mut Track) -> Result<(), WorkerError> {
+        let span = lane.begin(Phase::BarrierWait, trace_round(round));
+        let crossed = self.barrier.wait(self.round_timeout);
+        lane.end(span);
+        crossed.map_err(|t| WorkerError::BarrierTimeout {
+            worker: self.local.id,
+            round,
+            waited: t.waited,
+        })
+    }
+}
+
+impl Exchange for BarrierExchange<'_> {
+    type Error = WorkerError;
+
+    fn begin_round(&mut self, round: usize) -> Result<(), WorkerError> {
+        self.local.begin_round(round);
+        Ok(())
+    }
+
+    fn send(&mut self, _round: usize, outbox: &[Vec<Triple>]) -> Result<u64, WorkerError> {
+        // Dropping a dead peer's batch is safe: recovery re-closes from
+        // the surviving stores.
+        let sent = self.local.send_all(outbox, |_| {})?;
+        self.total_sent.fetch_add(sent, Ordering::SeqCst);
+        Ok(sent)
+    }
+
+    fn finish_round(
+        &mut self,
+        round: usize,
+        _sent: u64,
+        lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), WorkerError> {
+        // barrier A closes the round's send window
+        self.cross(round, lane)?;
+        let span = lane.begin(Phase::Collect, trace_round(round));
+        let received = self.local.comm.collect();
+        lane.end(span);
+        let received = received.map_err(|source| self.local.comm_error(source))?;
+        // read the verdict inside the [A, B] window, then barrier B
+        let now_total = self.total_sent.load(Ordering::SeqCst);
+        self.cross(round, lane)?;
+        // A lost worker drains every survivor in the same round (see the
+        // module docs); a round in which nobody moved a triple is global
+        // quiescence.
+        let stop = self.local.flags.failed() || now_total == self.last_total;
+        self.last_total = now_total;
+        Ok((received, stop))
+    }
+
+    fn fail(&mut self) {
+        self.local.flags.fail();
+    }
+
+    fn leave(&mut self) {
+        // Leaving the run — on drain *or* quiescence — must shrink the
+        // barrier membership: a peer that raced past our flag check may
+        // already be waiting on the next barrier, and without this
+        // defection it would stall there until its round timeout.
+        self.barrier.defect();
+    }
+}
+
+/// The asynchronous variant of §VI-B: no round barrier — a worker
+/// consumes whatever has arrived and keeps deriving; one burst counts as
+/// one round. Termination: every worker idle ∧ every sent triple
+/// processed ([`AsyncControl`]). With no barrier to defect from, a
+/// failing worker broadcasts through `AsyncControl::exit` instead, so no
+/// survivor spins forever waiting for a quiescence that can no longer be
+/// reached.
+struct AsyncExchange<'a> {
+    local: Local<'a>,
+    control: &'a AsyncControl,
+    k: usize,
+    /// Triples handed to the engine by the last `finish_round` — closed by
+    /// the time the next `send` runs, so counted done there.
+    processed: u64,
+}
+
+impl AsyncExchange<'_> {
+    fn try_collect(&mut self) -> Result<Vec<Triple>, WorkerError> {
+        self.local
+            .comm
+            .try_collect()
+            .map_err(|source| self.local.comm_error(source))
+    }
+}
+
+impl Exchange for AsyncExchange<'_> {
+    type Error = WorkerError;
+
+    fn begin_round(&mut self, round: usize) -> Result<(), WorkerError> {
+        self.local.begin_round(round);
+        Ok(())
+    }
+
+    fn send(&mut self, _round: usize, outbox: &[Vec<Triple>]) -> Result<u64, WorkerError> {
+        let c = self.control;
+        // This worker is not idle until its next empty collect, so the
+        // two counters may move in either order here.
+        c.total_done
+            .fetch_add(std::mem::take(&mut self.processed), Ordering::SeqCst);
+        let sent: u64 = outbox.iter().map(|b| b.len() as u64).sum();
+        c.total_sent.fetch_add(sent, Ordering::SeqCst);
+        // A dead peer's share counts as done, so the in-flight counter
+        // can still reach quiescence.
+        self.local.send_all(outbox, |n| {
+            c.total_done.fetch_add(n, Ordering::SeqCst);
+        })?;
+        Ok(sent)
+    }
+
+    fn finish_round(
+        &mut self,
+        _round: usize,
+        _sent: u64,
+        _lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), WorkerError> {
         // grab whatever has arrived; if nothing, go idle and watch for
         // quiescence
-        let t = CpuTimer::start();
-        let mut received = match ctx.comm.try_collect() {
-            Ok(r) => r,
-            Err(source) => {
-                ctx.flags.fail();
-                control.exit.store(true, SeqCst);
-                return Err(WorkerError::Comm {
-                    worker: ctx.id,
-                    source,
-                });
-            }
-        };
-        let dt = t.elapsed();
-        stats.io_time += dt;
-        burst_cpu += dt;
+        let mut received = self.try_collect()?;
         if received.is_empty() {
-            control.idle.fetch_add(1, SeqCst);
+            let c = self.control;
+            c.idle.fetch_add(1, Ordering::SeqCst);
+            // Idle polls sleep rather than spin, so waiting is not
+            // charged to the worker's CPU account.
+            let mut backoff = Backoff::new(Duration::from_micros(10), Duration::from_micros(200));
             loop {
-                if control.exit.load(SeqCst) {
-                    break 'outer;
+                if c.exit.load(Ordering::SeqCst) {
+                    return Ok((Vec::new(), true));
                 }
-                received = match ctx.comm.try_collect() {
-                    Ok(r) => r,
-                    Err(source) => {
-                        ctx.flags.fail();
-                        control.exit.store(true, SeqCst);
-                        return Err(WorkerError::Comm {
-                            worker: ctx.id,
-                            source,
-                        });
-                    }
-                };
+                received = self.try_collect()?;
                 if !received.is_empty() {
-                    control.idle.fetch_sub(1, SeqCst);
+                    c.idle.fetch_sub(1, Ordering::SeqCst);
                     break;
                 }
                 // all idle and nothing in flight ⇒ latch the exit flag
-                if control.idle.load(SeqCst) == ctx.k
-                    && control.total_sent.load(SeqCst) == control.total_done.load(SeqCst)
+                if c.idle.load(Ordering::SeqCst) == self.k
+                    && c.total_sent.load(Ordering::SeqCst) == c.total_done.load(Ordering::SeqCst)
                 {
-                    control.exit.store(true, SeqCst);
-                    break 'outer;
+                    c.exit.store(true, Ordering::SeqCst);
+                    return Ok((Vec::new(), true));
                 }
-                std::thread::yield_now();
+                backoff.sleep();
             }
         }
-
-        // absorb + incremental closure
-        let t = CpuTimer::start();
-        let n_received = received.len() as u64;
-        stats.received += received.len();
-        let fresh: Vec<Triple> = received
-            .into_iter()
-            .filter(|tr| ctx.store.insert(*tr))
-            .collect();
-        derived = ctx.reasoner.materialize_delta(&mut ctx.store, fresh);
-        control.total_done.fetch_add(n_received, SeqCst);
-        let dt = t.elapsed();
-        stats.reason_time += dt;
-        burst_cpu += dt;
-        stats.derived += derived.len();
-    }
-    if burst_cpu > Duration::ZERO {
-        stats.round_cpu.push(burst_cpu);
+        self.processed = received.len() as u64;
+        Ok((received, false))
     }
 
-    stats.skipped = ctx.comm.skipped().len();
-    stats.io_retries = ctx.comm.io_retries as usize;
-    stats.output_size = ctx.store.len();
-    Ok((ctx.store, stats))
+    fn fail(&mut self) {
+        self.local.flags.fail();
+        self.control.exit.store(true, Ordering::SeqCst);
+    }
+
+    fn leave(&mut self) {}
 }
 
 #[cfg(test)]
@@ -634,5 +726,142 @@ mod tests {
         assert!(f.failed());
         f.fail();
         assert!(f.failed());
+    }
+
+    /// A scripted exchange for worker 0 of 2: round `r` collects
+    /// `script[r]` and the last entry carries the stop verdict;
+    /// `fail_at = (r, hook)` makes that hook fail in round `r`. Every hook
+    /// call is logged.
+    #[derive(Default)]
+    struct Scripted {
+        script: Vec<Vec<Triple>>,
+        fail_at: Option<(usize, &'static str)>,
+        to_peer: Vec<Vec<Triple>>,
+        log: Vec<&'static str>,
+    }
+
+    impl Scripted {
+        fn hook(&mut self, name: &'static str, round: usize) -> Result<(), String> {
+            self.log.push(name);
+            match self.fail_at {
+                Some(at) if at == (round, name) => Err(format!("{name} failed in round {round}")),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    impl Exchange for Scripted {
+        type Error = String;
+
+        fn begin_round(&mut self, round: usize) -> Result<(), String> {
+            self.hook("begin", round)
+        }
+
+        fn send(&mut self, round: usize, outbox: &[Vec<Triple>]) -> Result<u64, String> {
+            self.hook("send", round)?;
+            assert!(outbox[0].is_empty(), "nothing is routed to self");
+            self.to_peer.push(outbox[1].clone());
+            Ok(outbox[1].len() as u64)
+        }
+
+        fn finish_round(
+            &mut self,
+            round: usize,
+            _sent: u64,
+            _lane: &mut Track,
+        ) -> Result<(Vec<Triple>, bool), String> {
+            self.hook("finish", round)?;
+            // Burn a little CPU so every collect shows in the account.
+            let t = CpuTimer::start();
+            while t.elapsed() == Duration::ZERO {
+                std::hint::spin_loop();
+            }
+            let stop = round + 1 >= self.script.len();
+            Ok((self.script.get(round).cloned().unwrap_or_default(), stop))
+        }
+
+        fn fail(&mut self) {
+            self.log.push("fail");
+        }
+
+        fn leave(&mut self) {
+            self.log.push("leave");
+        }
+    }
+
+    /// Run `x` under `p ⊑ q` (predicates 10, 20) over a store holding
+    /// `1 p 2`, nodes 2 and 4 owned by worker 1.
+    fn run(x: &mut Scripted, rec: &owlpar_obs::Recorder) -> Result<WorkerStats, String> {
+        let rule = Rule::new(
+            "p2q",
+            atom(v(0), c(NodeId(20)), v(1)),
+            vec![atom(v(0), c(NodeId(10)), v(1))],
+        )
+        .unwrap();
+        let owner = [(NodeId(1), 0), (NodeId(2), 1), (NodeId(4), 1)];
+        let routing = Routing::Data {
+            owner: Arc::new(owner.into_iter().collect()),
+        };
+        let mut store: TripleStore = [t(1, 10, 2)].into_iter().collect();
+        let mut lane = rec.track("worker 0");
+        let reasoner = Reasoner::forward(vec![rule]);
+        run_rounds(0, 2, &mut store, &reasoner, &routing, &mut lane, x)
+    }
+
+    #[test]
+    fn run_rounds_drives_productive_rounds_to_the_stop_verdict() {
+        let rec = owlpar_obs::Recorder::enabled();
+        let mut x = Scripted {
+            script: vec![vec![t(3, 10, 4)], vec![t(5, 10, 4)], Vec::new()],
+            ..Scripted::default()
+        };
+        let stats = run(&mut x, &rec).unwrap();
+        assert_eq!((stats.rounds, stats.sent, stats.received), (3, 3, 2));
+        assert_eq!((stats.derived, stats.output_size), (3, 6));
+        // One CPU entry per round plus the trailing collect.
+        assert_eq!(stats.round_cpu.len(), stats.rounds + 1);
+        // Each round's derivation went to the owner of its object.
+        let want = [t(1, 20, 2), t(3, 20, 4), t(5, 20, 4)].map(|tr| vec![tr]);
+        assert_eq!(x.to_peer, want);
+        assert_eq!(x.log.last(), Some(&"leave"));
+        assert!(!x.log.contains(&"fail"));
+        // The engine's spans: one Round and one Exchange per round, the
+        // base close plus one Join per non-final round.
+        let book = rec.drain();
+        for phase in [Phase::Round, Phase::Exchange, Phase::Join] {
+            let n = book
+                .events
+                .iter()
+                .filter(|e| matches!(e, owlpar_obs::Event::Span { phase: p, .. } if *p == phase));
+            assert_eq!(n.count(), 3, "{phase:?} spans");
+        }
+    }
+
+    #[test]
+    fn run_rounds_fails_before_leaving_once_on_error() {
+        let rec = owlpar_obs::Recorder::disabled();
+        let mut x = Scripted {
+            script: vec![vec![t(3, 10, 4)], Vec::new()],
+            fail_at: Some((1, "send")),
+            ..Scripted::default()
+        };
+        assert_eq!(run(&mut x, &rec).unwrap_err(), "send failed in round 1");
+        let want = ["begin", "send", "finish", "begin", "send", "fail", "leave"];
+        assert_eq!(x.log, want);
+
+        let mut x = Scripted {
+            fail_at: Some((0, "finish")),
+            ..Scripted::default()
+        };
+        assert_eq!(run(&mut x, &rec).unwrap_err(), "finish failed in round 0");
+        assert_eq!(x.log, ["begin", "send", "finish", "fail", "leave"]);
+    }
+
+    #[test]
+    fn run_rounds_leaves_on_quiescent_exit() {
+        let mut x = Scripted::default();
+        let stats = run(&mut x, &owlpar_obs::Recorder::disabled()).unwrap();
+        assert_eq!((stats.rounds, stats.received), (1, 0));
+        assert_eq!(x.log, ["begin", "send", "finish", "leave"]);
     }
 }

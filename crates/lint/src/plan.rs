@@ -14,8 +14,8 @@
 //!
 //! Everything is estimated in **triples**, then converted to wire bytes
 //! with [`WireCostModel`] (mirroring the `WireLedger` conventions of
-//! `owlpar-core`'s `stats` module: 12 B/triple v1 floor, 8 B frame
-//! overhead, measured v2 delta/varint round encoding).
+//! `owlpar-core`'s `stats` module: 8 B frame overhead, measured
+//! delta/varint round encoding).
 //!
 //! * a rule's *production estimate* `w_r` is the caller's per-rule
 //!   firing estimate when given (`PlanInputs::productions`, typically
@@ -46,15 +46,13 @@ use owlpar_rdf::fx::FxHashMap;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
 
-/// Byte-cost constants mirroring the cluster wire format (see
-/// `owlpar_core::stats::plan_cost_model`, which constructs this from the
-/// `WireLedger` conventions).
+/// Byte-cost constants mirroring the cluster wire format, so predicted
+/// bytes are commensurable with what the cluster master's wire ledger
+/// measures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireCostModel {
     /// Length-prefix + CRC framing per frame (`len u32 | crc u32`).
     pub frame_overhead: u64,
-    /// v1 baseline: raw 12-byte triple records.
-    pub v1_triple_bytes: f64,
     /// Measured v2 delta/varint bytes per triple in a round batch
     /// (sorted triple blocks; ~3.4 B on the bench KB).
     pub round_triple_bytes: f64,
@@ -67,7 +65,6 @@ impl Default for WireCostModel {
     fn default() -> Self {
         WireCostModel {
             frame_overhead: 8,
-            v1_triple_bytes: 12.0,
             round_triple_bytes: 3.5,
             deliver_frame_bytes: 18.0,
         }
@@ -133,8 +130,6 @@ pub struct PlanInputs {
     /// Caller's estimate of total encoded+framed `Setup` bytes across
     /// all workers (`None` when no KB is at hand).
     pub setup_bytes: Option<u64>,
-    /// v1 baseline for the same payloads.
-    pub setup_v1_bytes: Option<u64>,
     /// Byte-cost constants.
     pub cost: WireCostModel,
 }
@@ -180,8 +175,6 @@ pub struct RuleTraffic {
     pub exchange_triples: f64,
     /// v2 wire bytes for that exchange (star relay: both legs).
     pub exchange_bytes: f64,
-    /// v1 baseline bytes for the same exchange.
-    pub exchange_v1_bytes: f64,
 }
 
 /// The plan-analysis verdict: predicted loads, traffic, round bounds
@@ -212,13 +205,9 @@ pub struct PlanReport {
     pub exchange_triples: f64,
     /// Predicted `Setup` phase wire bytes (0 when unknown).
     pub setup_bytes: u64,
-    /// v1 baseline for the setup phase.
-    pub setup_v1_bytes: u64,
     /// Predicted round-phase wire bytes (star relay, both legs, plus
     /// per-round `Deliver` overhead).
     pub round_bytes: f64,
-    /// v1 baseline for the round phase.
-    pub round_v1_bytes: f64,
     /// Round-count bounds.
     pub rounds: RoundBound,
     /// Scalar cost in triple-equivalents — what `--strategy auto`
@@ -276,9 +265,7 @@ impl PlanReport {
             "max_load_share": (self.max_load_share),
             "exchange_triples": (self.exchange_triples),
             "setup_bytes": (self.setup_bytes),
-            "setup_v1_bytes": (self.setup_v1_bytes),
             "round_bytes": (self.round_bytes),
-            "round_v1_bytes": (self.round_v1_bytes),
             "rounds": rounds,
             "total_cost": total_cost,
         });
@@ -305,7 +292,6 @@ impl PlanReport {
                     "remote_dests": (r.remote_dests),
                     "exchange_triples": (r.exchange_triples),
                     "exchange_bytes": (r.exchange_bytes),
-                    "exchange_v1_bytes": (r.exchange_v1_bytes),
                 })
             })
             .collect();
@@ -352,12 +338,8 @@ impl PlanReport {
         );
         let _ = writeln!(
             out,
-            "  wire: setup ~{} B (v1 {} B)  rounds ~{:.0} B (v1 {:.0} B)  cost {:.0}",
-            self.setup_bytes,
-            self.setup_v1_bytes,
-            self.round_bytes,
-            self.round_v1_bytes,
-            self.total_cost,
+            "  wire: setup ~{} B  rounds ~{:.0} B  cost {:.0}",
+            self.setup_bytes, self.round_bytes, self.total_cost,
         );
         for d in &self.diagnostics {
             let at = d
@@ -502,9 +484,7 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
             max_load_share: 0.0,
             exchange_triples: 0.0,
             setup_bytes: inputs.setup_bytes.unwrap_or(0),
-            setup_v1_bytes: inputs.setup_v1_bytes.unwrap_or(0),
             round_bytes: 0.0,
-            round_v1_bytes: 0.0,
             rounds: RoundBound {
                 min: 1,
                 expected: 1,
@@ -622,7 +602,6 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
             exchange_triples: exchange,
             // Star relay: each exchanged triple crosses the wire twice.
             exchange_bytes: 2.0 * exchange * inputs.cost.round_triple_bytes,
-            exchange_v1_bytes: 2.0 * exchange * inputs.cost.v1_triple_bytes,
         });
     }
 
@@ -648,7 +627,6 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
     // --- wire totals -------------------------------------------------
     let round_bytes = 2.0 * total_exchange * inputs.cost.round_triple_bytes
         + (rounds.expected * k) as f64 * inputs.cost.deliver_frame_bytes;
-    let round_v1_bytes = 2.0 * total_exchange * inputs.cost.v1_triple_bytes;
     let shipped = total_shipped_base as f64 + (k * inputs.schema_triples) as f64;
     let total_cost = max_load + 2.0 * total_exchange + shipped;
 
@@ -800,9 +778,7 @@ pub fn analyze_plan(rules: &[Rule], opts: &LintOptions, inputs: &PlanInputs) -> 
         max_load_share,
         exchange_triples: total_exchange,
         setup_bytes: inputs.setup_bytes.unwrap_or(0),
-        setup_v1_bytes: inputs.setup_v1_bytes.unwrap_or(0),
         round_bytes,
-        round_v1_bytes,
         rounds,
         total_cost,
         diagnostics,
@@ -904,7 +880,6 @@ mod tests {
             productions: None,
             exchange_discount: 1.0,
             setup_bytes: None,
-            setup_v1_bytes: None,
             cost: WireCostModel::default(),
         }
     }

@@ -4,15 +4,18 @@
 //! The master runs the same pre-spawn half of Algorithm 3 the in-process
 //! runtime uses — [`prepare_run`] compiles, lints and partitions — then
 //! ships each worker its partition, rule subsets and routing table over
-//! the versioned bootstrap protocol (`protocol`). Rounds mirror
-//! `run_worker` exactly: a worker closes its local store, routes fresh
+//! the versioned bootstrap protocol (`protocol`). A worker runs the
+//! in-process runtime's round engine (`owlpar_core::worker::run_rounds`)
+//! over the star exchange: it closes its local store, routes fresh
 //! derivations, sends them (as `Triples` frames relayed through the
 //! master), announces `RoundDone`, and blocks until the master's
 //! `Deliver` hands it the round verdict plus its inbound triples. The
 //! verdict is the paper's termination test — a round in which nobody
 //! sent anything — computed from the per-round send counts every
 //! `RoundDone` carries, so it is reached by every worker in the same
-//! round, just like the in-process cumulative-counter check.
+//! round, just like the in-process cumulative-counter check. The master
+//! ends with the in-process master's aggregate/recover/report tail
+//! (`owlpar_core::master::finish_run`).
 //!
 //! ## Star, not mesh
 //!
@@ -38,22 +41,19 @@
 use crate::cache::PartitionCache;
 use crate::protocol::{
     decode_master_msg, decode_setup_payload, decode_worker_msg, encode_master_msg,
-    encode_setup_payload, encode_worker_msg, v1_setup_payload_cost, CacheEntry, MasterMsg,
-    NetError, Setup, SetupPayload, WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION,
-    WIRE_MAGIC,
+    encode_setup_payload, encode_worker_msg, CacheEntry, MasterMsg, NetError, Setup, SetupPayload,
+    WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION, WIRE_MAGIC,
 };
 use owlpar_core::config::RoundMode;
-use owlpar_core::cputime::CpuTimer;
-use owlpar_core::master::resolve_materialization;
-use owlpar_core::stats::{simulate_rounds, PhaseBreakdown, WireBytes, WirePhase, WireRound};
-use owlpar_core::worker::Routing;
-use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, NO_ROUND};
+use owlpar_core::master::{finish_run, resolve_materialization, WorkersDone};
+use owlpar_core::stats::{WireBytes, WirePhase, WireRound};
+use owlpar_core::worker::{run_rounds, Exchange, Routing};
 use owlpar_core::{
-    digest128, prepare_run, read_crc_frame, reclose_serial, write_crc_frame, Backoff, CommError,
-    Digest128, FaultKind, ParallelConfig, RunError, RunReport, WorkerError, WorkerStats,
+    digest128, prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, Digest128,
+    FaultKind, ParallelConfig, RunError, RunReport, WorkerError,
 };
 use owlpar_datalog::{Reasoner, Rule};
-use owlpar_partition::metrics::or_excess;
+use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, Track, NO_ROUND};
 use owlpar_partition::RulePartitions;
 use owlpar_rdf::fx::FxHashMap;
 use owlpar_rdf::{Graph, Triple, TripleStore};
@@ -142,9 +142,9 @@ impl Default for WorkerOptions {
 /// exactly once.
 #[derive(Debug, Default)]
 struct WireLedger {
-    setup: [AtomicU64; 4],
-    rounds: [AtomicU64; 4],
-    finals: [AtomicU64; 4],
+    setup: [AtomicU64; 3],
+    rounds: [AtomicU64; 3],
+    finals: [AtomicU64; 3],
     control_bytes: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -159,28 +159,22 @@ struct WireLedger {
 }
 
 impl WireLedger {
-    fn add(phase: &[AtomicU64; 4], body_len: usize, triples: usize, v1_bytes: u64) {
+    fn add(phase: &[AtomicU64; 3], body_len: usize, triples: usize) {
         phase[0].fetch_add(body_len as u64 + FRAME_OVERHEAD, Ordering::Relaxed);
         phase[1].fetch_add(1, Ordering::Relaxed);
         phase[2].fetch_add(triples as u64, Ordering::Relaxed);
-        phase[3].fetch_add(v1_bytes, Ordering::Relaxed);
     }
 
-    /// `v1_cost` is the exact v1 `Setup` byte count for this worker's
-    /// payload ([`v1_setup_payload_cost`]) — charged whether or not this
-    /// run actually shipped it, because v1 (cache-less) always would.
-    fn setup_frame(&self, body_len: usize, triples: usize, v1_cost: u64) {
-        Self::add(&self.setup, body_len, triples, v1_cost);
+    fn setup_frame(&self, body_len: usize, triples: usize) {
+        Self::add(&self.setup, body_len, triples);
     }
 
-    /// Round/final v1 baseline is the conservative floor `12 × triples`
-    /// (v1 frame headers and counts not charged).
     fn round_frame(&self, body_len: usize, triples: usize) {
-        Self::add(&self.rounds, body_len, triples, triples as u64 * 12);
+        Self::add(&self.rounds, body_len, triples);
     }
 
     fn final_frame(&self, body_len: usize, triples: usize) {
-        Self::add(&self.finals, body_len, triples, triples as u64 * 12);
+        Self::add(&self.finals, body_len, triples);
     }
 
     fn control_frame(&self, body_len: usize) {
@@ -209,11 +203,10 @@ impl WireLedger {
     }
 
     fn snapshot(&self) -> WireBytes {
-        let phase = |p: &[AtomicU64; 4]| WirePhase {
+        let phase = |p: &[AtomicU64; 3]| WirePhase {
             bytes: p[0].load(Ordering::Relaxed),
             frames: p[1].load(Ordering::Relaxed),
             triples: p[2].load(Ordering::Relaxed),
-            v1_bytes: p[3].load(Ordering::Relaxed),
         };
         let per_round = self
             .per_round
@@ -267,17 +260,6 @@ fn handshake_err(detail: impl Into<String>) -> NetError {
 
 fn send_master(stream: &mut TcpStream, msg: &MasterMsg) -> Result<(), NetError> {
     write_crc_frame(stream, &encode_master_msg(msg)).map_err(NetError::from)
-}
-
-/// Worker-side send with wire-byte accounting (frame envelope included).
-fn send_worker_counted(
-    stream: &mut TcpStream,
-    msg: &WorkerMsg,
-    sent: &mut u64,
-) -> Result<(), NetError> {
-    let body = encode_worker_msg(msg);
-    *sent += body.len() as u64 + FRAME_OVERHEAD;
-    write_crc_frame(stream, &body).map_err(NetError::from)
 }
 
 // ---------------------------------------------------------------------
@@ -498,6 +480,54 @@ fn pump_worker(
     }
 }
 
+/// The coordinator's view of which workers are still in the run.
+struct Roster {
+    alive: Vec<bool>,
+    /// Per-worker delivery senders; dropping one unblocks its handler.
+    delivery: Vec<Option<mpsc::Sender<MasterMsg>>>,
+    /// Why each lost worker was lost, in detection order.
+    errors: Vec<WorkerError>,
+}
+
+impl Roster {
+    /// Declare worker `id` lost with `err`; the first cause wins.
+    fn kill(&mut self, id: usize, err: WorkerError) {
+        if self.alive[id] {
+            self.alive[id] = false;
+            self.delivery[id] = None; // unblocks the handler
+            self.errors.push(err);
+        }
+    }
+}
+
+/// A worker that broke the round protocol in `round`.
+fn protocol_violation(round: usize, worker: usize, detail: String) -> WorkerError {
+    WorkerError::Comm {
+        worker,
+        source: CommError::Protocol {
+            round,
+            worker,
+            peer: worker,
+            detail,
+        },
+    }
+}
+
+/// A worker whose connection died in `round`.
+fn connection_lost(round: usize, worker: usize, detail: String) -> WorkerError {
+    WorkerError::Comm {
+        worker,
+        source: CommError::Io {
+            round,
+            worker,
+            path: None,
+            kind: ErrorKind::ConnectionAborted,
+            detail,
+            attempts: 1,
+        },
+    }
+}
+
 /// The shippable image of a worker's routing table.
 fn wire_routing(r: &Routing) -> WireRouting {
     match r {
@@ -669,8 +699,7 @@ pub fn run_cluster_master(
     // The cache key's input half is the KB as handed to us, digested
     // before partitioning touches anything.
     let in_digest = input_digest(graph);
-    let plan = prepare_run(graph, cfg)?;
-    let recoverable = plan.recoverable(cfg.recovery);
+    let mut plan = prepare_run(graph, cfg)?;
     let k = plan.k;
     // Telemetry: an enabled recorder in the options turns on worker-side
     // tracing (via the Welcome flag) and gives the master its own
@@ -709,7 +738,7 @@ pub fn run_cluster_master(
         streams.push(stream);
         adverts.push(advert);
     }
-    let mut bases = plan.bases;
+    let mut bases = std::mem::take(&mut plan.bases);
     for (id, stream) in streams.iter_mut().enumerate() {
         let payload = SetupPayload {
             n_terms,
@@ -721,7 +750,6 @@ pub fn run_cluster_master(
             routing: wire_routing(&plan.routing[id]),
         };
         let payload_triples = payload.schema.len() + payload.base.len();
-        let v1_cost = v1_setup_payload_cost(&payload);
         let blob = encode_setup_payload(&payload);
         let payload_digest = digest128(&blob);
         // Digest-only ship iff the worker advertised this exact blob —
@@ -744,7 +772,7 @@ pub fn run_cluster_master(
             payload: (!hit).then_some(blob),
         };
         let body = encode_master_msg(&MasterMsg::Setup(Box::new(setup)));
-        ledger.setup_frame(body.len(), if hit { 0 } else { payload_triples }, v1_cost);
+        ledger.setup_frame(body.len(), if hit { 0 } else { payload_triples });
         write_crc_frame(stream, &body)?;
         // From here on the per-read patience is the round timeout: a
         // worker that produces nothing for that long is declared dead.
@@ -756,14 +784,17 @@ pub fn run_cluster_master(
     // --- rounds ------------------------------------------------------
     let t_par = Instant::now();
     let (events_tx, events) = mpsc::channel::<Event>();
-    let mut delivery_txs: Vec<Option<mpsc::Sender<MasterMsg>>> = Vec::with_capacity(k);
-    let mut worker_errors: Vec<WorkerError> = Vec::new();
+    let mut roster = Roster {
+        alive: vec![true; k],
+        delivery: Vec::with_capacity(k),
+        errors: Vec::new(),
+    };
     let mut finals: Vec<Option<(WireStats, Vec<Triple>)>> = (0..k).map(|_| None).collect();
 
     thread::scope(|scope| {
         for (id, stream) in streams.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<MasterMsg>();
-            delivery_txs.push(Some(tx));
+            roster.delivery.push(Some(tx));
             let handler_tx = events_tx.clone();
             let handler_ledger = Arc::clone(&ledger);
             let handler_trace = trace.clone();
@@ -790,19 +821,7 @@ pub fn run_cluster_master(
         }
         drop(events_tx);
 
-        let mut alive = vec![true; k];
         let mut inboxes: Vec<Vec<Triple>> = (0..k).map(|_| Vec::new()).collect();
-        let kill = |id: usize,
-                        err: WorkerError,
-                        alive: &mut Vec<bool>,
-                        delivery_txs: &mut Vec<Option<mpsc::Sender<MasterMsg>>>,
-                        worker_errors: &mut Vec<WorkerError>| {
-            if alive[id] {
-                alive[id] = false;
-                delivery_txs[id] = None; // unblocks the handler
-                worker_errors.push(err);
-            }
-        };
 
         let mut round = 0usize;
         loop {
@@ -816,26 +835,19 @@ pub fn run_cluster_master(
             let mut done_at_ms: Vec<f64> = Vec::with_capacity(k);
             let relay_bytes_before = ledger.rounds[0].load(Ordering::Relaxed);
             let wait_span = relay.begin(Phase::BarrierWait, round as u32);
-            while (0..k).any(|i| alive[i] && !done[i]) {
+            while (0..k).any(|i| roster.alive[i] && !done[i]) {
                 match events.recv_timeout(cfg.round_timeout) {
                     Ok(Event::Routed { from, to, batch }) => {
                         if to < k {
                             inboxes[to].extend(batch);
                         } else {
-                            kill(
+                            roster.kill(
                                 from,
-                                WorkerError::Comm {
-                                    worker: from,
-                                    source: CommError::Protocol {
-                                        round,
-                                        worker: from,
-                                        peer: from,
-                                        detail: format!("routed a batch to worker {to} of {k}"),
-                                    },
-                                },
-                                &mut alive,
-                                &mut delivery_txs,
-                                &mut worker_errors,
+                                protocol_violation(
+                                    round,
+                                    from,
+                                    format!("routed a batch to worker {to} of {k}"),
+                                ),
                             );
                         }
                     }
@@ -845,74 +857,41 @@ pub fn run_cluster_master(
                             round_sent += sent;
                             done_at_ms.push(round_t0.elapsed().as_secs_f64() * 1e3);
                         } else {
-                            kill(
+                            roster.kill(
                                 from,
-                                WorkerError::Comm {
-                                    worker: from,
-                                    source: CommError::Protocol {
-                                        round,
-                                        worker: from,
-                                        peer: from,
-                                        detail: format!("announced round {r} during round {round}"),
-                                    },
-                                },
-                                &mut alive,
-                                &mut delivery_txs,
-                                &mut worker_errors,
+                                protocol_violation(
+                                    round,
+                                    from,
+                                    format!("announced round {r} during round {round}"),
+                                ),
                             );
                         }
                     }
                     Ok(Event::Dead { from, detail }) => {
-                        kill(
-                            from,
-                            WorkerError::Comm {
-                                worker: from,
-                                source: CommError::Io {
-                                    round,
-                                    worker: from,
-                                    path: None,
-                                    kind: ErrorKind::ConnectionAborted,
-                                    detail,
-                                    attempts: 1,
-                                },
-                            },
-                            &mut alive,
-                            &mut delivery_txs,
-                            &mut worker_errors,
-                        );
+                        roster.kill(from, connection_lost(round, from, detail));
                     }
                     Ok(Event::Final { from, .. }) => {
-                        kill(
+                        roster.kill(
                             from,
-                            WorkerError::Comm {
-                                worker: from,
-                                source: CommError::Protocol {
-                                    round,
-                                    worker: from,
-                                    peer: from,
-                                    detail: "sent Final before the stop verdict".to_string(),
-                                },
-                            },
-                            &mut alive,
-                            &mut delivery_txs,
-                            &mut worker_errors,
+                            protocol_violation(
+                                round,
+                                from,
+                                "sent Final before the stop verdict".to_string(),
+                            ),
                         );
                     }
                     Err(_) => {
                         // Nothing from anyone for a whole round timeout:
                         // declare every straggler dead.
-                        for id in 0..k {
-                            if alive[id] && !done[id] {
-                                kill(
+                        for (id, &announced) in done.iter().enumerate() {
+                            if roster.alive[id] && !announced {
+                                roster.kill(
                                     id,
                                     WorkerError::BarrierTimeout {
                                         worker: id,
                                         round,
                                         waited: cfg.round_timeout,
                                     },
-                                    &mut alive,
-                                    &mut delivery_txs,
-                                    &mut worker_errors,
                                 );
                             }
                         }
@@ -924,9 +903,9 @@ pub fn run_cluster_master(
 
             // The verdict: quiescence, or any loss so far drains the
             // survivors — same rule as the in-process RunFlags check.
-            let stop = round_sent == 0 || !worker_errors.is_empty();
+            let stop = round_sent == 0 || !roster.errors.is_empty();
             for id in 0..k {
-                if !alive[id] || !done[id] {
+                if !roster.alive[id] || !done[id] {
                     continue;
                 }
                 let deliver = MasterMsg::Deliver {
@@ -934,9 +913,9 @@ pub fn run_cluster_master(
                     stop,
                     triples: std::mem::take(&mut inboxes[id]),
                 };
-                if let Some(tx) = &delivery_txs[id] {
+                if let Some(tx) = &roster.delivery[id] {
                     if tx.send(deliver).is_err() {
-                        kill(
+                        roster.kill(
                             id,
                             WorkerError::Comm {
                                 worker: id,
@@ -946,9 +925,6 @@ pub fn run_cluster_master(
                                     to: id,
                                 },
                             },
-                            &mut alive,
-                            &mut delivery_txs,
-                            &mut worker_errors,
                         );
                     }
                 }
@@ -981,118 +957,72 @@ pub fn run_cluster_master(
                     max - min,
                 );
             }
-            if stop || !alive.iter().any(|&a| a) {
+            if stop || !roster.alive.iter().any(|&a| a) {
                 break;
             }
             round += 1;
         }
 
         // --- finals --------------------------------------------------
-        while (0..k).any(|i| alive[i] && finals[i].is_none()) {
+        while (0..k).any(|i| roster.alive[i] && finals[i].is_none()) {
             match events.recv_timeout(cfg.round_timeout) {
                 Ok(Event::Final { from, stats, store }) => {
                     finals[from] = Some((stats, store));
-                    delivery_txs[from] = None;
+                    roster.delivery[from] = None;
                 }
                 Ok(Event::Dead { from, detail }) => {
-                    kill(
-                        from,
-                        WorkerError::Comm {
-                            worker: from,
-                            source: CommError::Io {
-                                round,
-                                worker: from,
-                                path: None,
-                                kind: ErrorKind::ConnectionAborted,
-                                detail,
-                                attempts: 1,
-                            },
-                        },
-                        &mut alive,
-                        &mut delivery_txs,
-                        &mut worker_errors,
-                    );
+                    roster.kill(from, connection_lost(round, from, detail));
                 }
                 Ok(Event::Routed { .. }) => {} // late, harmless: run is over
                 Ok(Event::Done { from, .. }) => {
-                    kill(
+                    roster.kill(
                         from,
-                        WorkerError::Comm {
-                            worker: from,
-                            source: CommError::Protocol {
-                                round,
-                                worker: from,
-                                peer: from,
-                                detail: "announced a round after the stop verdict".to_string(),
-                            },
-                        },
-                        &mut alive,
-                        &mut delivery_txs,
-                        &mut worker_errors,
+                        protocol_violation(
+                            round,
+                            from,
+                            "announced a round after the stop verdict".to_string(),
+                        ),
                     );
                 }
                 Err(_) => {
-                    for id in 0..k {
-                        if alive[id] && finals[id].is_none() {
-                            kill(
+                    for (id, f) in finals.iter().enumerate() {
+                        if roster.alive[id] && f.is_none() {
+                            roster.kill(
                                 id,
                                 WorkerError::BarrierTimeout {
                                     worker: id,
                                     round,
                                     waited: cfg.round_timeout,
                                 },
-                                &mut alive,
-                                &mut delivery_txs,
-                                &mut worker_errors,
                             );
                         }
                     }
                 }
             }
         }
-        delivery_txs.clear(); // release any handler still blocked
+        roster.delivery.clear(); // release any handler still blocked
     });
     let host_parallel_time = t_par.elapsed();
 
-    // --- aggregate + recover -----------------------------------------
-    let t_agg = Instant::now();
-    let agg_span = relay.begin(Phase::Aggregate, NO_ROUND);
-    let mut worker_stats = Vec::with_capacity(k);
-    let mut output_sizes = Vec::with_capacity(k);
-    for (id, f) in finals.into_iter().enumerate() {
-        match f {
-            Some((stats, store)) => {
-                output_sizes.push(store.len());
-                let mut part = TripleStore::new();
-                part.extend(store);
-                graph.store.union_with(&part);
-                worker_stats.push(stats.into_worker_stats(id));
-            }
-            None => worker_stats.push(WorkerStats {
-                id,
-                ..WorkerStats::default()
-            }),
-        }
-    }
-    let mut recovered = false;
-    if !worker_errors.is_empty() {
-        if !recoverable {
-            return Err(NetError::Run(RunError::Workers {
-                errors: worker_errors,
-            }));
-        }
-        let recovery_span = relay.begin(Phase::Recovery, NO_ROUND);
-        reclose_serial(graph, cfg, &plan.all_rules);
-        relay.end(recovery_span);
-        recovered = true;
-    }
-    relay.end(agg_span);
-    let aggregation = t_agg.elapsed();
-
-    let (parallel_time, sim_sync) = simulate_rounds(&worker_stats);
-    for (w, s) in worker_stats.iter_mut().zip(sim_sync) {
-        w.sync_time = s;
-    }
+    let finals = finals
+        .into_iter()
+        .enumerate()
+        .map(|(id, f)| f.map(|(stats, store)| (store, stats.into_worker_stats(id))))
+        .collect();
+    let report = finish_run(
+        graph,
+        cfg,
+        &plan,
+        &mut relay,
+        WorkersDone {
+            finals,
+            errors: roster.errors,
+            started: start_total,
+            before_len,
+            host_parallel_time,
+            wire: Some(ledger.snapshot()),
+        },
+    )?;
     // Lay the analyzer's predictions beside the measured trace — the
     // exact keys `owlpar trace summary` reads from the `"plan"` extra.
     if let Some(rec) = &trace {
@@ -1110,24 +1040,7 @@ pub fn run_cluster_master(
         };
         rec.set_extra("plan", plan_json);
     }
-    let closure_size = graph.len();
-    Ok(RunReport {
-        k,
-        breakdown: PhaseBreakdown::from_workers(&worker_stats, aggregation),
-        workers: worker_stats,
-        partition_time: plan.partition_time,
-        parallel_time,
-        host_parallel_time,
-        total_time: start_total.elapsed(),
-        derived: closure_size - before_len,
-        closure_size,
-        output_replication: or_excess(&output_sizes, closure_size),
-        partition_quality: plan.quality,
-        edge_cut: plan.edge_cut,
-        worker_errors,
-        recovered,
-        wire: Some(ledger.snapshot()),
-    })
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------
@@ -1223,17 +1136,151 @@ fn rebuild_routing(w: WireRouting, k: u32, all_rules: &Arc<Vec<Rule>>) -> Result
     }
 }
 
-/// Read one master frame and decode it, with wire-byte accounting.
-fn read_master(stream: &mut TcpStream, n_terms: u32, recv: &mut u64) -> Result<MasterMsg, NetError> {
-    let body = read_crc_frame(stream)?;
-    *recv += body.len() as u64 + FRAME_OVERHEAD;
-    decode_master_msg(&body, n_terms)
+/// The worker's end of its master connection, with wire-byte
+/// accounting (frame envelopes included).
+struct MasterLink {
+    stream: TcpStream,
+    /// Bytes written to the master.
+    sent: u64,
+    /// Bytes read from the master.
+    recv: u64,
+}
+
+impl MasterLink {
+    fn send(&mut self, msg: &WorkerMsg) -> Result<(), NetError> {
+        let body = encode_worker_msg(msg);
+        self.sent += body.len() as u64 + FRAME_OVERHEAD;
+        write_crc_frame(&mut self.stream, &body).map_err(NetError::from)
+    }
+
+    /// Read one master frame and decode it against `n_terms`.
+    fn read(&mut self, n_terms: u32) -> Result<MasterMsg, NetError> {
+        let body = read_crc_frame(&mut self.stream)?;
+        self.recv += body.len() as u64 + FRAME_OVERHEAD;
+        decode_master_msg(&body, n_terms)
+    }
+
+    /// Ship the lane's buffered telemetry as one `TraceChunk` (tracing
+    /// runs only). The chunk's `clock_us` is the clock-offset sample the
+    /// master aligns the worker's timeline with.
+    fn ship_trace(&mut self, rec: &Recorder, lane: &mut Track) -> Result<(), NetError> {
+        if !rec.is_enabled() {
+            return Ok(());
+        }
+        let payload = obs_wire::encode_trace_chunk(rec.now_us(), &lane.take_buffered());
+        self.send(&WorkerMsg::TraceChunk { payload })
+    }
+}
+
+/// Star rounds: triples are relayed through the master, whose `Deliver`
+/// is barrier A, the verdict and barrier B in one.
+struct StarExchange<'a> {
+    link: &'a mut MasterLink,
+    rec: &'a Recorder,
+    me: u32,
+    n_terms: u32,
+    chunk: usize,
+    /// Injected faults, `(round, fault)`.
+    faults: Vec<(u32, WireFault)>,
+}
+
+impl Exchange for StarExchange<'_> {
+    type Error = NetError;
+
+    fn begin_round(&mut self, round: usize) -> Result<(), NetError> {
+        for &(_, fault) in self.faults.iter().filter(|(r, _)| *r as usize == round) {
+            let kind = match fault {
+                WireFault::Panic => "panic",
+                WireFault::Disconnect => "disconnect",
+                WireFault::Delay { millis } => {
+                    thread::sleep(Duration::from_millis(millis));
+                    continue;
+                }
+            };
+            return Err(NetError::Injected { round, kind });
+        }
+        Ok(())
+    }
+
+    fn send(&mut self, _round: usize, outbox: &[Vec<Triple>]) -> Result<u64, NetError> {
+        let mut sent = 0u64;
+        for (to, batch) in outbox.iter().enumerate() {
+            if batch.is_empty() || to as u32 == self.me {
+                continue;
+            }
+            // Bounded frames regardless of batch size: a huge round
+            // splits into several Triples frames the master unions.
+            for part in batch.chunks(self.chunk) {
+                self.link.send(&WorkerMsg::Triples {
+                    to: to as u32,
+                    batch: part.to_vec(),
+                })?;
+            }
+            sent += batch.len() as u64;
+        }
+        Ok(sent)
+    }
+
+    fn finish_round(
+        &mut self,
+        round: usize,
+        sent: u64,
+        lane: &mut Track,
+    ) -> Result<(Vec<Triple>, bool), NetError> {
+        // Ship buffered telemetry before announcing the round — one
+        // chunk per round keeps frames small and gives the master a
+        // fresh clock sample every round. Spans still open here (this
+        // Round span itself) ride a later chunk; the pre-Final flush
+        // ships the stragglers.
+        self.link.ship_trace(self.rec, lane)?;
+        self.link.send(&WorkerMsg::RoundDone {
+            round: round as u32,
+            sent,
+        })?;
+        let wait_span = lane.begin(Phase::BarrierWait, round as u32);
+        // The round's inbound stream: any number of DeliverChunk frames
+        // then the Deliver verdict carrying the tail.
+        let mut inbound: Vec<Triple> = Vec::new();
+        let stop = loop {
+            match self.link.read(self.n_terms)? {
+                MasterMsg::DeliverChunk { round: r, batch } if r as usize == round => {
+                    inbound.extend(batch);
+                }
+                MasterMsg::Deliver {
+                    round: r,
+                    stop,
+                    triples,
+                } if r as usize == round => {
+                    inbound.extend(triples);
+                    break stop;
+                }
+                MasterMsg::DeliverChunk { round: r, .. } | MasterMsg::Deliver { round: r, .. } => {
+                    return Err(NetError::protocol(format!(
+                        "master delivered round {r} during round {round}"
+                    )))
+                }
+                other => {
+                    return Err(NetError::protocol(format!(
+                        "expected Deliver, got {other:?}"
+                    )))
+                }
+            }
+        };
+        lane.end(wait_span);
+        Ok((inbound, stop))
+    }
+
+    fn fail(&mut self) {
+        // The master sees the loss at its next read of this connection.
+        let _ = self.link.stream.shutdown(Shutdown::Both);
+    }
+
+    fn leave(&mut self) {}
 }
 
 /// Run one worker process: dial the master, handshake, receive the
-/// partition, execute barrier rounds to the stop verdict, ship the final
-/// store back. Mirrors `owlpar_core::worker::run_worker` step for step —
-/// the exchanges just travel through the master instead of channels.
+/// partition, run [`run_rounds`] over the star exchange to the stop
+/// verdict, ship the final store back.
 pub fn run_cluster_worker(
     addr: impl ToSocketAddrs,
     opts: &WorkerOptions,
@@ -1242,7 +1289,7 @@ pub fn run_cluster_worker(
     // partitioning when we start.
     let deadline = Instant::now() + opts.connect_timeout;
     let mut backoff = Backoff::new(Duration::from_millis(5), Duration::from_millis(250));
-    let mut stream = loop {
+    let stream = loop {
         match TcpStream::connect(&addr) {
             Ok(s) => break s,
             Err(e) => {
@@ -1256,19 +1303,18 @@ pub fn run_cluster_worker(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(opts.connect_timeout))?;
     stream.set_write_timeout(Some(opts.connect_timeout))?;
+    let mut link = MasterLink {
+        stream,
+        sent: 0,
+        recv: 0,
+    };
 
     // --- handshake ---------------------------------------------------
-    let mut wire_sent = 0u64;
-    let mut wire_recv = 0u64;
-    send_worker_counted(
-        &mut stream,
-        &WorkerMsg::Hello {
-            magic: WIRE_MAGIC,
-            version: PROTOCOL_VERSION,
-        },
-        &mut wire_sent,
-    )?;
-    let (node_id, k, epoch, traced) = match read_master(&mut stream, u32::MAX, &mut wire_recv)? {
+    link.send(&WorkerMsg::Hello {
+        magic: WIRE_MAGIC,
+        version: PROTOCOL_VERSION,
+    })?;
+    let (node_id, k, epoch, traced) = match link.read(u32::MAX)? {
         MasterMsg::Welcome {
             node_id,
             k,
@@ -1295,9 +1341,9 @@ pub fn run_cluster_worker(
         None => None,
     };
     let entries = cache.as_ref().map(PartitionCache::scan).unwrap_or_default();
-    send_worker_counted(&mut stream, &WorkerMsg::CacheAdvert { entries }, &mut wire_sent)?;
+    link.send(&WorkerMsg::CacheAdvert { entries })?;
 
-    let setup = match read_master(&mut stream, u32::MAX, &mut wire_recv)? {
+    let setup = match link.read(u32::MAX)? {
         MasterMsg::Setup(s) => *s,
         other => {
             return Err(handshake_err(format!(
@@ -1334,32 +1380,24 @@ pub fn run_cluster_worker(
                 )
             })
             .ok_or_else(|| {
-                handshake_err(
-                    "master elided the setup payload but no matching cache entry exists",
-                )
+                handshake_err("master elided the setup payload but no matching cache entry exists")
             })?,
     };
     let payload = decode_setup_payload(&blob)?;
-    let n_terms = payload.n_terms;
     let round_timeout = Duration::from_millis(setup.round_timeout_ms.max(1000));
     // The master's Deliver can lag a full coordinator round behind our
     // sends; give reads twice its patience before declaring it gone.
-    stream.set_read_timeout(Some(round_timeout.saturating_mul(2)))?;
-    stream.set_write_timeout(Some(round_timeout))?;
+    link.stream
+        .set_read_timeout(Some(round_timeout.saturating_mul(2)))?;
+    link.stream.set_write_timeout(Some(round_timeout))?;
 
-    // --- local state: exactly run_worker's ---------------------------
+    // --- rounds: the shared engine over the star exchange ------------
     let all_rules = Arc::new(payload.all_rules);
     let routing = rebuild_routing(payload.routing, k, &all_rules)?;
     let reasoner = Reasoner::new(payload.my_rules, payload.materialization);
     let mut store = TripleStore::new();
     store.extend(payload.schema);
     store.extend(payload.base);
-    let mut faults = setup.faults;
-    faults.sort_by_key(|&(r, _)| r);
-
-    let mut stats = WireStats::default();
-    let me = node_id;
-    let mut round_cpu = Duration::ZERO;
 
     // Telemetry: a LOCAL recorder, never the process global — worker
     // events reach the merged timeline only as `TraceChunk` frames, so
@@ -1373,179 +1411,33 @@ pub fn run_cluster_worker(
         Recorder::disabled()
     };
     let mut lane = rec.track("worker");
-
-    let t = CpuTimer::start();
-    let join_span = lane.begin(Phase::Join, NO_ROUND);
-    let base: Vec<Triple> = store.iter().copied().collect();
-    let mut derived = reasoner.materialize_delta(&mut store, base);
-    lane.end(join_span);
-    let dt = t.elapsed();
-    stats.reason_micros += dt.as_micros() as u64;
-    round_cpu += dt;
-    stats.derived += derived.len() as u64;
-
-    let mut dests: Vec<u32> = Vec::with_capacity(2);
-    let mut round = 0usize;
-    loop {
-        stats.rounds += 1;
-        let round_span = lane.begin(Phase::Round, round as u32);
-
-        // injected faults pinned to the start of this round
-        for &(r, fault) in &faults {
-            if r as usize != round {
-                continue;
-            }
-            match fault {
-                WireFault::Panic => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return Err(NetError::Injected {
-                        round,
-                        kind: "panic",
-                    });
-                }
-                WireFault::Disconnect => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return Err(NetError::Injected {
-                        round,
-                        kind: "disconnect",
-                    });
-                }
-                WireFault::Delay { millis } => thread::sleep(Duration::from_millis(millis)),
-            }
-        }
-
-        // route + send
-        let t = CpuTimer::start();
-        let exchange_span = lane.begin(Phase::Exchange, round as u32);
-        let mut outbox: Vec<Vec<Triple>> = vec![Vec::new(); k as usize];
-        for tr in &derived {
-            routing.destinations(tr, me, &mut dests);
-            for &d in &dests {
-                outbox[d as usize].push(*tr);
-            }
-        }
-        let chunk = opts.chunk_triples.max(1);
-        let mut sent_now = 0u64;
-        for (to, batch) in outbox.iter().enumerate() {
-            if batch.is_empty() || to as u32 == me {
-                continue;
-            }
-            // Bounded frames regardless of batch size: a huge round
-            // splits into several Triples frames the master unions.
-            for part in batch.chunks(chunk) {
-                send_worker_counted(
-                    &mut stream,
-                    &WorkerMsg::Triples {
-                        to: to as u32,
-                        batch: part.to_vec(),
-                    },
-                    &mut wire_sent,
-                )?;
-            }
-            sent_now += batch.len() as u64;
-        }
-        lane.count(Phase::Exchange, round as u32, Metric::Sent, sent_now);
-        lane.end(exchange_span);
-        // Ship buffered telemetry before announcing the round — one
-        // chunk per round keeps frames small and gives the master a
-        // fresh clock sample every round: the chunk's `clock_us` is the
-        // clock-offset handshake (the master keeps the minimum-latency
-        // estimate). Spans still open here (this Round span itself)
-        // ride a later chunk; the pre-Final flush ships the stragglers.
-        if rec.is_enabled() {
-            let chunk_events = lane.take_buffered();
-            let payload = obs_wire::encode_trace_chunk(rec.now_us(), &chunk_events);
-            send_worker_counted(&mut stream, &WorkerMsg::TraceChunk { payload }, &mut wire_sent)?;
-        }
-        send_worker_counted(
-            &mut stream,
-            &WorkerMsg::RoundDone {
-                round: round as u32,
-                sent: sent_now,
-            },
-            &mut wire_sent,
-        )?;
-        stats.sent += sent_now;
-        let dt = t.elapsed();
-        stats.io_micros += dt.as_micros() as u64;
-        round_cpu += dt;
-
-        // the Deliver is barrier A, the verdict and barrier B in one
-        stats.round_cpu_micros.push(round_cpu.as_micros() as u64);
-        round_cpu = Duration::ZERO;
-        let t = CpuTimer::start();
-        let wait_span = lane.begin(Phase::BarrierWait, round as u32);
-        // The round's inbound stream: any number of DeliverChunk frames
-        // then the Deliver verdict carrying the tail.
-        let mut inbound: Vec<Triple> = Vec::new();
-        let stop = loop {
-            match read_master(&mut stream, n_terms, &mut wire_recv)? {
-                MasterMsg::DeliverChunk { round: r, batch } => {
-                    if r as usize != round {
-                        return Err(NetError::protocol(format!(
-                            "master streamed a chunk of round {r} during round {round}"
-                        )));
-                    }
-                    inbound.extend(batch);
-                }
-                MasterMsg::Deliver {
-                    round: r,
-                    stop,
-                    triples,
-                } => {
-                    if r as usize != round {
-                        return Err(NetError::protocol(format!(
-                            "master delivered round {r} during round {round}"
-                        )));
-                    }
-                    inbound.extend(triples);
-                    break stop;
-                }
-                other => {
-                    return Err(NetError::protocol(format!(
-                        "expected Deliver, got {other:?}"
-                    )))
-                }
-            }
-        };
-        lane.end(wait_span);
-        let triples = inbound;
-        stats.received += triples.len() as u64;
-        lane.count(Phase::Collect, round as u32, Metric::Received, triples.len() as u64);
-        let dt = t.elapsed();
-        stats.io_micros += dt.as_micros() as u64;
-        round_cpu += dt;
-        if stop {
-            lane.end(round_span);
-            break;
-        }
-
-        // absorb + incremental closure
-        let t = CpuTimer::start();
-        let join_span = lane.begin(Phase::Join, round as u32);
-        let fresh: Vec<Triple> = triples.into_iter().filter(|tr| store.insert(*tr)).collect();
-        derived = reasoner.materialize_delta(&mut store, fresh);
-        lane.end(join_span);
-        let dt = t.elapsed();
-        stats.reason_micros += dt.as_micros() as u64;
-        round_cpu += dt;
-        stats.derived += derived.len() as u64;
-        lane.end(round_span);
-        round += 1;
-    }
-    if round_cpu > Duration::ZERO {
-        stats.round_cpu_micros.push(round_cpu.as_micros() as u64);
-    }
-    stats.output_size = store.len() as u64;
+    let chunk = opts.chunk_triples.max(1);
+    let mut exchange = StarExchange {
+        link: &mut link,
+        rec: &rec,
+        me: node_id,
+        n_terms: payload.n_terms,
+        chunk,
+        faults: setup.faults,
+    };
+    let stats = run_rounds(
+        node_id,
+        k as usize,
+        &mut store,
+        &reasoner,
+        &routing,
+        &mut lane,
+        &mut exchange,
+    )?;
 
     let summary = WorkerSummary {
         node_id,
         k,
         epoch,
-        rounds: stats.rounds as usize,
-        derived: stats.derived as usize,
+        rounds: stats.rounds,
+        derived: stats.derived,
         store_len: store.len(),
-        sent: stats.sent,
+        sent: stats.sent as u64,
     };
     // Ship the final store as a bounded chunk stream: FinalChunk* then
     // the Final terminator carrying the tail (and the counters), so a
@@ -1553,37 +1445,25 @@ pub fn run_cluster_worker(
     // first — each chunk is then a contiguous id range, which is both
     // deterministic and what the delta codec compresses best.
     let full = store.iter_sorted();
-    let chunk = opts.chunk_triples.max(1);
     let tail_start = full.len().saturating_sub(1) / chunk * chunk;
     for (seq, part) in full[..tail_start].chunks(chunk).enumerate() {
-        send_worker_counted(
-            &mut stream,
-            &WorkerMsg::FinalChunk {
-                seq: seq as u32,
-                batch: part.to_vec(),
-            },
-            &mut wire_sent,
-        )?;
+        link.send(&WorkerMsg::FinalChunk {
+            seq: seq as u32,
+            batch: part.to_vec(),
+        })?;
     }
     // Flush the telemetry stragglers (final Round span, last barrier
     // wait) just before the Final frame — the handler absorbs the
     // accumulated events when the pump exits.
-    if rec.is_enabled() {
-        let chunk_events = lane.take_buffered();
-        let payload = obs_wire::encode_trace_chunk(rec.now_us(), &chunk_events);
-        send_worker_counted(&mut stream, &WorkerMsg::TraceChunk { payload }, &mut wire_sent)?;
-    }
+    link.ship_trace(&rec, &mut lane)?;
     // The counters ride inside the Final frame, so they cannot include
     // it; the master-side ledger is the authoritative total.
-    stats.wire_sent_bytes = wire_sent;
-    stats.wire_recv_bytes = wire_recv;
-    send_worker_counted(
-        &mut stream,
-        &WorkerMsg::Final {
-            stats,
-            store: full[tail_start..].to_vec(),
-        },
-        &mut wire_sent,
-    )?;
+    let mut stats = WireStats::from_worker_stats(&stats);
+    stats.wire_sent_bytes = link.sent;
+    stats.wire_recv_bytes = link.recv;
+    link.send(&WorkerMsg::Final {
+        stats,
+        store: full[tail_start..].to_vec(),
+    })?;
     Ok(summary)
 }

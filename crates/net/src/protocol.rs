@@ -284,6 +284,24 @@ pub struct WireStats {
 }
 
 impl WireStats {
+    /// The shippable image of a worker's counters (the wire byte counts
+    /// are the caller's to fill in).
+    pub fn from_worker_stats(s: &WorkerStats) -> Self {
+        WireStats {
+            rounds: s.rounds as u64,
+            derived: s.derived as u64,
+            sent: s.sent as u64,
+            received: s.received as u64,
+            reason_micros: s.reason_time.as_micros() as u64,
+            io_micros: s.io_time.as_micros() as u64,
+            round_cpu_micros: s.round_cpu.iter().map(|d| d.as_micros() as u64).collect(),
+            output_size: s.output_size as u64,
+            skipped: s.skipped as u64,
+            io_retries: s.io_retries as u64,
+            ..WireStats::default()
+        }
+    }
+
     /// Rehydrate into the core's stats record for `RunReport` assembly.
     pub fn into_worker_stats(self, id: usize) -> WorkerStats {
         WorkerStats {
@@ -980,37 +998,6 @@ pub fn encode_setup_payload(p: &SetupPayload) -> Vec<u8> {
     put_rule_refs(&mut out, &p.all_rules, &p.my_rules);
     put_routing(&mut out, &p.routing);
     out
-}
-
-/// Exact byte count the **v1** wire format would have needed to ship
-/// this payload: raw 12-byte triple records with a `u32` count, 8-byte
-/// ownership pairs, fixed 5-byte atom terms, `u32` string lengths, and
-/// both rule lists in full (v1 had no rule references and no partition
-/// cache, so every run pays this price again). This is the honest
-/// baseline the wire accounting reports compression against.
-pub fn v1_setup_payload_cost(p: &SetupPayload) -> u64 {
-    let atom = 3 * (1 + 4) as u64;
-    let rule = |r: &Rule| 4 + r.name.len() as u64 + atom + 2 + atom * r.body.len() as u64;
-    let rules = |rs: &[Rule]| 4 + rs.iter().map(rule).sum::<u64>();
-    let owner = |pairs: usize| 4 + 8 * pairs as u64;
-    let assignment = |len: usize| 4 + 4 * len as u64;
-    let routing = match &p.routing {
-        WireRouting::Data { owner: o } => 1 + owner(o.len()),
-        WireRouting::Rule { assignment: a, .. } => 1 + 4 + assignment(a.len()),
-        WireRouting::Hybrid {
-            owner: o,
-            groups_assignment: a,
-            ..
-        } => 1 + 4 + owner(o.len()) + 4 + assignment(a.len()),
-    };
-    let mut mat = Vec::new();
-    put_materialization(&mut mat, &p.materialization);
-    4 + mat.len() as u64
-        + (4 + 12 * p.schema.len() as u64)
-        + (4 + 12 * p.base.len() as u64)
-        + rules(&p.all_rules)
-        + rules(&p.my_rules)
-        + routing
 }
 
 /// Decode (and fully validate) a [`SetupPayload`] blob — whether it

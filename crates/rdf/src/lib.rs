@@ -35,7 +35,6 @@ pub mod ntriples;
 pub mod snapshot;
 pub mod store;
 pub mod term;
-pub mod turtle;
 pub mod triple;
 pub mod vocab;
 

@@ -262,6 +262,12 @@ impl FromIterator<Triple> for TripleStore {
     }
 }
 
+impl From<Vec<Triple>> for TripleStore {
+    fn from(triples: Vec<Triple>) -> Self {
+        triples.into_iter().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
