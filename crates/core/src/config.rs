@@ -85,6 +85,23 @@ impl PartitioningStrategy {
         PartitioningStrategy::Auto
     }
 
+    /// The strategy a CLI `--strategy` name selects for `k` workers:
+    /// `graph`, `hash`, `domain` (data policies), `rule`, `hybrid` (two
+    /// rule groups when `k` is even, else one) or `auto`.
+    pub fn from_name(name: &str, k: usize) -> Result<Self, String> {
+        Ok(match name {
+            "graph" => Self::data_graph(),
+            "hash" => Self::data_hash(),
+            "domain" => Self::data_domain(),
+            "rule" => Self::rule(),
+            "hybrid" => PartitioningStrategy::Hybrid {
+                rule_groups: if k.is_multiple_of(2) { 2 } else { 1 },
+            },
+            "auto" => Self::auto(),
+            other => return Err(format!("unknown strategy '{other}'")),
+        })
+    }
+
     /// Short family label (`data` / `rule` / `hybrid` / `auto`) — the
     /// name the CLIs and plan reports use.
     pub fn label(&self) -> &'static str {
@@ -267,5 +284,28 @@ mod tests {
     fn forward_switches_materialization() {
         let c = ParallelConfig::default().forward();
         assert_eq!(c.materialization, MaterializationStrategy::ForwardSemiNaive);
+    }
+
+    #[test]
+    fn strategy_names_parse_for_every_cli() {
+        for (name, label) in [
+            ("graph", "data"),
+            ("hash", "data"),
+            ("domain", "data"),
+            ("rule", "rule"),
+            ("hybrid", "hybrid"),
+            ("auto", "auto"),
+        ] {
+            let s = PartitioningStrategy::from_name(name, 4);
+            assert_eq!(s.map(|s| s.label()), Ok(label), "{name}");
+        }
+        for (k, groups) in [(4, 2), (3, 1)] {
+            assert!(matches!(
+                PartitioningStrategy::from_name("hybrid", k),
+                Ok(PartitioningStrategy::Hybrid { rule_groups }) if rule_groups == groups
+            ));
+        }
+        let bogus = PartitioningStrategy::from_name("bogus", 2).map(|s| s.label());
+        assert_eq!(bogus, Err("unknown strategy 'bogus'".to_string()));
     }
 }

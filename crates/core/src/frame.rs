@@ -209,43 +209,26 @@ impl std::fmt::Display for TripleBlockError {
 
 impl std::error::Error for TripleBlockError {}
 
-/// Append `v` as a LEB128 varint (1–5 bytes for a `u32`).
-pub fn put_varint32(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+/// Append `v` as a LEB128 varint (1–5 bytes for a `u32`) — the
+/// `u32` view of the one varint codec, [`owlpar_obs::wire::put_varint64`].
+pub fn put_varint32(out: &mut Vec<u8>, v: u32) {
+    owlpar_obs::wire::put_varint64(out, u64::from(v));
 }
 
-/// Read one LEB128 varint from `buf` at `pos`. Returns the value and the
-/// new position.
+/// Read one LEB128 varint from `buf` at `pos` as a checked `u32`: at
+/// most 5 bytes, at most 32 bits. Returns the value and the new position.
 pub fn get_varint32(buf: &[u8], pos: usize) -> Result<(u32, usize), TripleBlockError> {
-    let mut v: u32 = 0;
-    let mut shift = 0u32;
-    let mut at = pos;
-    loop {
-        let &byte = buf
-            .get(at)
-            .ok_or(TripleBlockError::Truncated { offset: at })?;
-        let payload = u32::from(byte & 0x7f);
-        // The 5th byte of a u32 varint may only carry 4 bits.
-        if shift == 28 && payload > 0x0f {
-            return Err(TripleBlockError::Overflow { offset: pos });
-        }
-        v |= payload << shift;
-        at += 1;
-        if byte & 0x80 == 0 {
-            return Ok((v, at));
-        }
-        shift += 7;
-        if shift > 28 {
-            return Err(TripleBlockError::Overflow { offset: pos });
-        }
+    // Decode inside a 5-byte window: running off its end is a too-long
+    // encoding, running off the buffer's end a truncated one.
+    let window = buf.get(pos..).unwrap_or_default();
+    let window = &window[..window.len().min(5)];
+    let mut len = 0;
+    match owlpar_obs::wire::get_varint64(window, &mut len) {
+        Ok(v) => u32::try_from(v)
+            .map(|v| (v, pos + len))
+            .map_err(|_| TripleBlockError::Overflow { offset: pos }),
+        Err(_) if window.len() == 5 => Err(TripleBlockError::Overflow { offset: pos }),
+        Err(_) => Err(TripleBlockError::Truncated { offset: buf.len().max(pos) }),
     }
 }
 

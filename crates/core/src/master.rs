@@ -18,14 +18,13 @@
 //! subsets of the closure, so re-closing serially yields *exactly* the
 //! serial closure (forward closure is monotonic in its inputs).
 
-use crate::barrier::RoundBarrier;
 use crate::comm::{build_fabric_with_faults, CommMode};
 use crate::config::{
     DataPolicy, FaultRecovery, ParallelConfig, PartitioningStrategy, RoundMode, UnsafeRulePolicy,
 };
 use crate::error::{RunError, WorkerError};
 use crate::stats::{PhaseBreakdown, WorkerStats};
-use crate::worker::{run_worker, AsyncControl, RoundSync, Routing, RunFlags, WorkerCtx};
+use crate::worker::{run_worker, Rendezvous, Routing, WorkerCtx};
 use owlpar_datalog::{MaterializationStrategy, Reasoner, Rule};
 use owlpar_horst::HorstReasoner;
 use owlpar_lint::{lint_rules, LintOptions, PartitionContext};
@@ -36,7 +35,6 @@ use owlpar_partition::{partition_data, partition_rules, OwnershipPolicy};
 use owlpar_rdf::vocab::RDF_TYPE;
 use owlpar_rdf::{Graph, Term, Triple, TripleStore};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -192,6 +190,8 @@ pub struct RunPlan {
     /// The analyzer's report for the selected plan — `Some` only when
     /// the run was configured with [`PartitioningStrategy::Auto`].
     pub analysis: Option<owlpar_lint::PlanReport>,
+    /// Graph size before the run.
+    pub before_len: usize,
 }
 
 impl RunPlan {
@@ -225,6 +225,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
     if cfg.k < 1 {
         return Err(RunError::config("k must be at least 1"));
     }
+    let before_len = graph.len();
     let rec = obs::global();
     let mut lane = rec.track("master");
     let part_span = lane.begin(obs::Phase::Partition, obs::NO_ROUND);
@@ -324,6 +325,7 @@ pub fn prepare_run(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunPlan, R
         edge_cut,
         partition_time: t_part.elapsed(),
         analysis,
+        before_len,
     })
 }
 
@@ -467,73 +469,87 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
             "asynchronous rounds require the channel transport",
         ));
     }
-    let start_total = Instant::now();
-    let before_len = graph.len();
+    let started = Instant::now();
     let mut plan = prepare_run(graph, cfg)?;
-
-    // Freeze the dictionary and build the fabric.
-    let dict = Arc::new(graph.dict.clone());
-    let fabric = build_fabric_with_faults(cfg.k, &cfg.comm, dict, cfg.fault.as_deref())
+    let fabric = build_fabric_with_faults(cfg.k, &cfg.comm, &graph.dict, cfg.fault.as_deref())
         .map_err(|source| RunError::Fabric { source })?;
-    let barrier = Arc::new(RoundBarrier::new(cfg.k));
-    let total_sent = Arc::new(AtomicU64::new(0));
-    let flags = Arc::new(RunFlags::new());
-    let async_control = Arc::new(AsyncControl::default());
-    let progress: Vec<Arc<AtomicUsize>> =
-        (0..cfg.k).map(|_| Arc::new(AtomicUsize::new(0))).collect();
     let materialization = resolve_materialization(cfg.materialization, cfg.k);
 
-    // Spawn the workers, each inside a panic-containment wrapper.
-    let t_par = Instant::now();
     let schema = &plan.schema;
-    let workers = std::mem::take(&mut plan.bases)
+    let peers = std::mem::take(&mut plan.bases)
         .into_iter()
         .zip(std::mem::take(&mut plan.rules_per_worker))
         .zip(std::mem::take(&mut plan.routing))
-        .zip(fabric);
+        .zip(fabric)
+        .enumerate()
+        .map(|(id, (((base, rules), routing), comm))| -> Peer<'_, TripleStore> {
+            Box::new(move |shared| {
+                let mut store = TripleStore::new();
+                store.extend(schema.iter().copied());
+                store.extend(base);
+                run_worker(WorkerCtx {
+                    id,
+                    k: cfg.k,
+                    store,
+                    reasoner: Reasoner::new(rules, materialization),
+                    routing,
+                    comm,
+                    rounds: cfg.rounds,
+                    round_timeout: cfg.round_timeout,
+                    shared,
+                })
+            })
+        })
+        .collect();
+    let done = run_peers(peers);
+    let mut lane = obs::global().track("master");
+    finish_run(graph, cfg, &plan, &mut lane, started, done)
+}
+
+/// One peer of a run: the body of its thread, from its first round to
+/// its final store. An in-process [`run_worker`] or the cluster master's
+/// proxy for a remote worker.
+pub type Peer<'a, S> =
+    Box<dyn FnOnce(&Rendezvous) -> Result<(S, WorkerStats), WorkerError> + Send + 'a>;
+
+/// What the worker phase of a run hands to [`finish_run`].
+pub struct WorkersDone<S> {
+    /// Per worker: its final store and counters, `None` for a lost worker.
+    pub finals: Vec<Option<(S, WorkerStats)>>,
+    /// Structured errors for the lost workers.
+    pub errors: Vec<WorkerError>,
+    /// Host wall-clock from worker spawn to the last worker's end.
+    pub host_parallel_time: Duration,
+}
+
+/// Spawn, contain and join the peers of a run — the one coordinator
+/// both runtimes share. Every peer runs on its own thread over one
+/// [`Rendezvous`]. A peer that fails or panics is abandoned on its
+/// behalf — failure flag raised, barrier left — so the survivors drain
+/// at their next verdict (see `worker`); a panic becomes a structured
+/// [`WorkerError::Panicked`].
+pub fn run_peers<S: Send>(peers: Vec<Peer<'_, S>>) -> WorkersDone<S> {
+    let shared = Rendezvous::new(peers.len());
+    let started = Instant::now();
     let outcomes: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
+        let handles: Vec<_> = peers
+            .into_iter()
             .enumerate()
-            .map(|(id, (((base, rules), routing), comm))| {
-                let sync = match cfg.rounds {
-                    RoundMode::Barrier => RoundSync::Barrier {
-                        barrier: Arc::clone(&barrier),
-                        total_sent: Arc::clone(&total_sent),
-                        round_timeout: cfg.round_timeout,
-                    },
-                    RoundMode::Async => RoundSync::Async(Arc::clone(&async_control)),
-                };
-                let (barrier, flags, async_control) = (&barrier, &flags, &async_control);
-                let progress = &progress[id];
+            .map(|(id, peer)| {
+                let shared = &shared;
                 scope.spawn(move || {
-                    let mut store = TripleStore::new();
-                    store.extend(schema.iter().copied());
-                    store.extend(base);
-                    let ctx = WorkerCtx {
-                        id,
-                        k: cfg.k,
-                        store,
-                        reasoner: Reasoner::new(rules, materialization),
-                        routing,
-                        comm,
-                        sync,
-                        flags: Arc::clone(flags),
-                        progress: Arc::clone(progress),
-                    };
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_worker(ctx)));
-                    outcome.unwrap_or_else(|payload| {
-                        // Containment: raise the flag *before* defecting,
-                        // then release anyone the dead worker would have
-                        // kept waiting (see worker.rs module docs).
-                        flags.fail();
-                        barrier.defect();
-                        async_control.exit.store(true, Ordering::SeqCst);
-                        Err(WorkerError::Panicked {
-                            worker: id,
-                            round: progress.load(Ordering::Relaxed),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    })
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| peer(shared)))
+                        .unwrap_or_else(|payload| {
+                            Err(WorkerError::Panicked {
+                                worker: id,
+                                round: shared.round_of(id),
+                                message: panic_message(payload.as_ref()),
+                            })
+                        });
+                    if outcome.is_err() {
+                        shared.abandon(id);
+                    }
+                    outcome
                 })
             })
             .collect();
@@ -551,55 +567,30 @@ pub fn run_parallel(graph: &mut Graph, cfg: &ParallelConfig) -> Result<RunReport
             })
             .collect()
     });
-    let host_parallel_time = t_par.elapsed();
-
+    let host_parallel_time = started.elapsed();
     let mut errors = Vec::new();
     let finals = outcomes
         .into_iter()
         .map(|r| r.map_err(|e| errors.push(e)).ok())
         .collect();
-    let mut lane = obs::global().track("master");
-    finish_run(
-        graph,
-        cfg,
-        &plan,
-        &mut lane,
-        WorkersDone {
-            finals,
-            errors,
-            started: start_total,
-            before_len,
-            host_parallel_time,
-            wire: None,
-        },
-    )
-}
-
-/// What the worker phase of a run hands to [`finish_run`].
-pub struct WorkersDone<S> {
-    /// Per worker: its final store and counters, `None` for a lost worker.
-    pub finals: Vec<Option<(S, WorkerStats)>>,
-    /// Structured errors for the lost workers.
-    pub errors: Vec<WorkerError>,
-    /// When the run started (before partitioning).
-    pub started: Instant,
-    /// Graph size before the run.
-    pub before_len: usize,
-    /// Host wall-clock from worker spawn to the last worker's end.
-    pub host_parallel_time: Duration,
-    /// Wire accounting, for runtimes whose exchanges cross real sockets.
-    pub wire: Option<crate::stats::WireBytes>,
+    WorkersDone {
+        finals,
+        errors,
+        host_parallel_time,
+    }
 }
 
 /// The master's tail of Algorithm 3, shared by every runtime: union the
 /// surviving stores into `graph`, recover or report lost workers,
-/// reconstruct the cluster's wall-clock and assemble the [`RunReport`].
-/// Aggregate and recovery spans go on `lane`.
+/// reconstruct the cluster's wall-clock and assemble the [`RunReport`]
+/// (its `total_time` counted from `started`). Aggregate and recovery
+/// spans go on `lane`.
 pub fn finish_run<S: Into<TripleStore>>(
     graph: &mut Graph,
     cfg: &ParallelConfig,
     plan: &RunPlan,
     lane: &mut obs::Track,
+    started: Instant,
     done: WorkersDone<S>,
 ) -> Result<RunReport, RunError> {
     let agg_span = lane.begin(obs::Phase::Aggregate, obs::NO_ROUND);
@@ -671,15 +662,15 @@ pub fn finish_run<S: Into<TripleStore>>(
         partition_time: plan.partition_time,
         parallel_time,
         host_parallel_time: done.host_parallel_time,
-        total_time: done.started.elapsed(),
-        derived: closure_size - done.before_len,
+        total_time: started.elapsed(),
+        derived: closure_size - plan.before_len,
         closure_size,
         output_replication: or_excess(&output_sizes, closure_size),
         partition_quality: plan.quality.clone(),
         edge_cut: plan.edge_cut,
         worker_errors,
         recovered,
-        wire: done.wire,
+        wire: None,
     })
 }
 
@@ -978,6 +969,47 @@ mod tests {
         assert_eq!(report.workers.len(), 4, "dead worker keeps its slot");
         assert_eq!(g.len(), want_len);
         assert_eq!(g.term_fingerprint(), want_fp);
+    }
+
+    /// The coordinator contains every kind of loss: one peer fails, one
+    /// panics, and the survivor waiting at the round barrier is released
+    /// by their departures and drains on the failure flag.
+    #[test]
+    fn run_peers_abandons_lost_peers_and_releases_survivors() {
+        use crate::comm::build_fabric;
+        use crate::worker::{BarrierExchange, Exchange};
+        let mut fabric = build_fabric(3, &CommMode::Channel, owlpar_rdf::Dictionary::new())
+            .unwrap()
+            .into_iter();
+        let (_, _, mut comm) = (fabric.next(), fabric.next(), fabric.next().unwrap());
+        let peers: Vec<Peer<'_, Vec<Triple>>> = vec![
+            Box::new(|_| {
+                Err(WorkerError::BarrierTimeout {
+                    worker: 0,
+                    round: 0,
+                    waited: Duration::ZERO,
+                })
+            }),
+            Box::new(|_| panic!("peer 1 dies")),
+            Box::new(move |shared| {
+                let mut x = BarrierExchange::new(2, &mut comm, shared, Duration::from_secs(300));
+                let mut lane = obs::Recorder::disabled().track("peer 2");
+                x.send(0, &[Vec::new(), Vec::new(), Vec::new()])?;
+                let (received, stop) = x.finish_round(0, 0, &mut lane)?;
+                assert!(received.is_empty());
+                assert!(stop, "a lost peer stops the survivors");
+                Ok((Vec::new(), WorkerStats::default()))
+            }),
+        ];
+        let done = run_peers(peers);
+        assert!(done.finals[2].is_some());
+        assert!(done.finals[..2].iter().all(Option::is_none));
+        let lost: Vec<usize> = done.errors.iter().map(WorkerError::worker).collect();
+        assert_eq!(lost, vec![0, 1]);
+        assert!(matches!(
+            done.errors[1],
+            WorkerError::Panicked { worker: 1, ref message, .. } if message == "peer 1 dies"
+        ));
     }
 
     /// A LUBM graph carrying a 3-cycle over a fresh predicate, plus the

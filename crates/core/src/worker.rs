@@ -32,6 +32,7 @@
 use crate::backoff::Backoff;
 use crate::barrier::RoundBarrier;
 use crate::comm::WorkerComm;
+use crate::config::RoundMode;
 use crate::cputime::CpuTimer;
 use crate::error::{CommError, WorkerError};
 use crate::stats::WorkerStats;
@@ -150,42 +151,71 @@ impl RunFlags {
     }
 }
 
-/// Shared state for distributed termination detection in the
-/// asynchronous mode: exit when every worker is idle and every sent
-/// triple has been processed.
-#[derive(Default)]
-pub struct AsyncControl {
-    /// Cumulative triples sent (incremented *before* the send).
-    pub total_sent: AtomicU64,
-    /// Cumulative received triples fully processed.
-    pub total_done: AtomicU64,
-    /// Workers currently idle (inbox empty, nothing to derive).
-    pub idle: AtomicUsize,
-    /// Latched once global quiescence is observed (or a worker is lost —
-    /// the async mode has no barrier, so the exit flag doubles as its
-    /// failure broadcast).
-    pub exit: AtomicBool,
+/// The round state the `k` peers of one run share: the barrier that
+/// separates a round's sends from its collects, the termination counters
+/// the stop verdict reads, and the failure flag. A peer is an in-process
+/// worker or the master's proxy for a remote one — both meet here.
+pub struct Rendezvous {
+    barrier: RoundBarrier,
+    flags: RunFlags,
+    /// Cumulative triples sent by anyone (asynchronous mode: counted
+    /// *before* the send).
+    total_sent: AtomicU64,
+    /// Asynchronous mode: cumulative received triples fully processed.
+    total_done: AtomicU64,
+    /// Asynchronous mode: workers currently idle (inbox empty, nothing
+    /// to derive).
+    idle: AtomicUsize,
+    /// Asynchronous mode: latched once global quiescence is observed, or
+    /// a worker is lost — with no barrier to defect from, the exit flag
+    /// doubles as the failure broadcast.
+    exit: AtomicBool,
+    /// Per peer: the last round it entered (for panic reports).
+    progress: Vec<AtomicUsize>,
+    /// Per peer: has it left the barrier? Leaving twice would shrink the
+    /// membership below the live peers.
+    left: Vec<AtomicBool>,
 }
 
-/// How a worker's rounds are synchronized with its peers.
-pub enum RoundSync {
-    /// Barrier-synchronized rounds (Algorithm 3).
-    Barrier {
-        /// Round barrier shared by all workers (timeout- and
-        /// defection-aware).
-        barrier: Arc<RoundBarrier>,
-        /// Cumulative count of triples sent by anyone (termination
-        /// detector).
-        total_sent: Arc<AtomicU64>,
-        /// Patience at each barrier crossing.
-        round_timeout: Duration,
-    },
-    /// The asynchronous variant of §VI-B; requires the channel transport.
-    Async(Arc<AsyncControl>),
+impl Rendezvous {
+    /// Round state for `k` peers.
+    pub fn new(k: usize) -> Self {
+        Rendezvous {
+            barrier: RoundBarrier::new(k),
+            flags: RunFlags::new(),
+            total_sent: AtomicU64::new(0),
+            total_done: AtomicU64::new(0),
+            idle: AtomicUsize::new(0),
+            exit: AtomicBool::new(false),
+            progress: (0..k).map(|_| AtomicUsize::new(0)).collect(),
+            left: (0..k).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// The last round peer `id` entered.
+    pub(crate) fn round_of(&self, id: usize) -> usize {
+        self.progress[id].load(Ordering::Relaxed)
+    }
+
+    /// Peer `id` leaves the barrier (idempotent).
+    fn leave(&self, id: usize) {
+        if !self.left[id].swap(true, Ordering::SeqCst) {
+            self.barrier.defect();
+        }
+    }
+
+    /// Peer `id` is lost: raise the failure flag *before* leaving, so
+    /// every survivor the departure releases sees the failure at its
+    /// verdict (see the module docs), and end the asynchronous mode.
+    pub(crate) fn abandon(&self, id: usize) {
+        self.flags.fail();
+        self.exit.store(true, Ordering::SeqCst);
+        self.leave(id);
+    }
 }
 
 /// Everything a worker thread needs.
-pub struct WorkerCtx {
+pub struct WorkerCtx<'a> {
     /// Worker index (== partition id).
     pub id: usize,
     /// Total number of workers.
@@ -200,13 +230,12 @@ pub struct WorkerCtx {
     pub routing: Routing,
     /// Communication endpoint.
     pub comm: WorkerComm,
-    /// Round synchronization: barrier or asynchronous.
-    pub sync: RoundSync,
-    /// Run-wide failure flag.
-    pub flags: Arc<RunFlags>,
-    /// Last round this worker entered — read by the master's panic
-    /// containment to report *where* a worker died.
-    pub progress: Arc<AtomicUsize>,
+    /// Barrier rounds or the asynchronous variant of §VI-B.
+    pub rounds: RoundMode,
+    /// Patience at each barrier crossing.
+    pub round_timeout: Duration,
+    /// The round state shared with the run's other peers.
+    pub shared: &'a Rendezvous,
 }
 
 /// The transport half of an Algorithm 3 round, driven by [`run_rounds`].
@@ -259,7 +288,18 @@ pub fn run_rounds<X: Exchange + ?Sized>(
     lane: &mut Track,
     exchange: &mut X,
 ) -> Result<WorkerStats, X::Error> {
-    let outcome = drive_rounds(me, k, store, reasoner, routing, lane, exchange);
+    with_exchange(exchange, |x| {
+        drive_rounds(me, k, store, reasoner, routing, lane, x)
+    })
+}
+
+/// Drive `exchange` through `body`, then end it the way every exit must:
+/// [`Exchange::fail`] if `body` failed, [`Exchange::leave`] always.
+pub fn with_exchange<X: Exchange + ?Sized, T>(
+    exchange: &mut X,
+    body: impl FnOnce(&mut X) -> Result<T, X::Error>,
+) -> Result<T, X::Error> {
+    let outcome = body(exchange);
     if outcome.is_err() {
         exchange.fail();
     }
@@ -357,9 +397,9 @@ fn drive_rounds<X: Exchange + ?Sized>(
 }
 
 /// Run an in-process worker to quiescence over the round
-/// synchronization in `ctx.sync`. Returns the final local store and
+/// synchronization in `ctx.rounds`. Returns the final local store and
 /// stats, or a structured error if this worker dropped out of the run.
-pub fn run_worker(ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), WorkerError> {
+pub fn run_worker(ctx: WorkerCtx<'_>) -> Result<(TripleStore, WorkerStats), WorkerError> {
     let WorkerCtx {
         id,
         k,
@@ -367,34 +407,21 @@ pub fn run_worker(ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), WorkerEr
         reasoner,
         routing,
         mut comm,
-        sync,
-        flags,
-        progress,
+        rounds,
+        round_timeout,
+        shared,
     } = ctx;
     // Ambient tracing lane for this worker (one branch per span when the
     // recorder is disabled; flushed on drop, including error exits).
     let mut lane = owlpar_obs::global().track(&format!("worker {id}"));
-    let local = Local {
-        id,
-        comm: &mut comm,
-        flags: &flags,
-        progress: &progress,
-    };
-    let mut exchange: Box<dyn Exchange<Error = WorkerError> + '_> = match &sync {
-        RoundSync::Barrier {
-            barrier,
-            total_sent,
-            round_timeout,
-        } => Box::new(BarrierExchange {
-            local,
-            barrier,
-            total_sent,
-            round_timeout: *round_timeout,
-            last_total: 0,
-        }),
-        RoundSync::Async(control) => Box::new(AsyncExchange {
-            local,
-            control,
+    let mut exchange: Box<dyn Exchange<Error = WorkerError> + '_> = match rounds {
+        RoundMode::Barrier => Box::new(BarrierExchange::new(id, &mut comm, shared, round_timeout)),
+        RoundMode::Async => Box::new(AsyncExchange {
+            local: Local {
+                id,
+                comm: &mut comm,
+                shared,
+            },
             k,
             processed: 0,
         }),
@@ -419,18 +446,14 @@ pub fn run_worker(ctx: WorkerCtx) -> Result<(TripleStore, WorkerStats), WorkerEr
 struct Local<'a> {
     id: usize,
     comm: &'a mut WorkerComm,
-    flags: &'a RunFlags,
-    progress: &'a AtomicUsize,
+    shared: &'a Rendezvous,
 }
 
 impl Local<'_> {
     /// Record progress, then fire the faults pinned to `round`.
     fn begin_round(&mut self, round: usize) {
-        self.progress.store(round, Ordering::Relaxed);
-        self.comm.fire_scheduled_panic(round); // contained by the master
-        if let Some(d) = self.comm.scheduled_delay(round) {
-            std::thread::sleep(d);
-        }
+        self.shared.progress[self.id].store(round, Ordering::Relaxed);
+        self.comm.fire_round_faults(round); // a panic is contained by the master
     }
 
     /// Send every batch of `outbox`. A hung-up peer is already dead and
@@ -461,21 +484,35 @@ impl Local<'_> {
     }
 }
 
-/// Barrier rounds over the in-process fabric.
-struct BarrierExchange<'a> {
+/// Barrier rounds over an in-process fabric — run by in-process
+/// workers and by the cluster master's proxies for remote ones.
+pub struct BarrierExchange<'a> {
     local: Local<'a>,
-    barrier: &'a RoundBarrier,
-    total_sent: &'a AtomicU64,
     round_timeout: Duration,
     /// The cumulative send count at the previous round's verdict.
     last_total: u64,
 }
 
-impl BarrierExchange<'_> {
+impl<'a> BarrierExchange<'a> {
+    /// Peer `id`'s barrier rounds over `comm`, waiting at most
+    /// `round_timeout` at each crossing.
+    pub fn new(
+        id: usize,
+        comm: &'a mut WorkerComm,
+        shared: &'a Rendezvous,
+        round_timeout: Duration,
+    ) -> Self {
+        BarrierExchange {
+            local: Local { id, comm, shared },
+            round_timeout,
+            last_total: 0,
+        }
+    }
+
     /// Cross the barrier or fail with a structured timeout.
     fn cross(&self, round: usize, lane: &mut Track) -> Result<(), WorkerError> {
         let span = lane.begin(Phase::BarrierWait, trace_round(round));
-        let crossed = self.barrier.wait(self.round_timeout);
+        let crossed = self.local.shared.barrier.wait(self.round_timeout);
         lane.end(span);
         crossed.map_err(|t| WorkerError::BarrierTimeout {
             worker: self.local.id,
@@ -497,7 +534,7 @@ impl Exchange for BarrierExchange<'_> {
         // Dropping a dead peer's batch is safe: recovery re-closes from
         // the surviving stores.
         let sent = self.local.send_all(outbox, |_| {})?;
-        self.total_sent.fetch_add(sent, Ordering::SeqCst);
+        self.local.shared.total_sent.fetch_add(sent, Ordering::SeqCst);
         Ok(sent)
     }
 
@@ -514,18 +551,18 @@ impl Exchange for BarrierExchange<'_> {
         lane.end(span);
         let received = received.map_err(|source| self.local.comm_error(source))?;
         // read the verdict inside the [A, B] window, then barrier B
-        let now_total = self.total_sent.load(Ordering::SeqCst);
+        let now_total = self.local.shared.total_sent.load(Ordering::SeqCst);
         self.cross(round, lane)?;
         // A lost worker drains every survivor in the same round (see the
         // module docs); a round in which nobody moved a triple is global
         // quiescence.
-        let stop = self.local.flags.failed() || now_total == self.last_total;
+        let stop = self.local.shared.flags.failed() || now_total == self.last_total;
         self.last_total = now_total;
         Ok((received, stop))
     }
 
     fn fail(&mut self) {
-        self.local.flags.fail();
+        self.local.shared.flags.fail();
     }
 
     fn leave(&mut self) {
@@ -533,20 +570,19 @@ impl Exchange for BarrierExchange<'_> {
         // barrier membership: a peer that raced past our flag check may
         // already be waiting on the next barrier, and without this
         // defection it would stall there until its round timeout.
-        self.barrier.defect();
+        self.local.shared.leave(self.local.id);
     }
 }
 
 /// The asynchronous variant of §VI-B: no round barrier — a worker
 /// consumes whatever has arrived and keeps deriving; one burst counts as
 /// one round. Termination: every worker idle ∧ every sent triple
-/// processed ([`AsyncControl`]). With no barrier to defect from, a
-/// failing worker broadcasts through `AsyncControl::exit` instead, so no
-/// survivor spins forever waiting for a quiescence that can no longer be
-/// reached.
+/// processed ([`Rendezvous`]). With no barrier to defect from, a
+/// failing worker broadcasts through the rendezvous' exit flag instead,
+/// so no survivor spins forever waiting for a quiescence that can no
+/// longer be reached.
 struct AsyncExchange<'a> {
     local: Local<'a>,
-    control: &'a AsyncControl,
     k: usize,
     /// Triples handed to the engine by the last `finish_round` — closed by
     /// the time the next `send` runs, so counted done there.
@@ -571,7 +607,7 @@ impl Exchange for AsyncExchange<'_> {
     }
 
     fn send(&mut self, _round: usize, outbox: &[Vec<Triple>]) -> Result<u64, WorkerError> {
-        let c = self.control;
+        let c = self.local.shared;
         // This worker is not idle until its next empty collect, so the
         // two counters may move in either order here.
         c.total_done
@@ -596,7 +632,7 @@ impl Exchange for AsyncExchange<'_> {
         // quiescence
         let mut received = self.try_collect()?;
         if received.is_empty() {
-            let c = self.control;
+            let c = self.local.shared;
             c.idle.fetch_add(1, Ordering::SeqCst);
             // Idle polls sleep rather than spin, so waiting is not
             // charged to the worker's CPU account.
@@ -625,8 +661,7 @@ impl Exchange for AsyncExchange<'_> {
     }
 
     fn fail(&mut self) {
-        self.local.flags.fail();
-        self.control.exit.store(true, Ordering::SeqCst);
+        self.local.shared.abandon(self.local.id);
     }
 
     fn leave(&mut self) {}

@@ -9,23 +9,23 @@
 //! over the star exchange: it closes its local store, routes fresh
 //! derivations, sends them (as `Triples` frames relayed through the
 //! master), announces `RoundDone`, and blocks until the master's
-//! `Deliver` hands it the round verdict plus its inbound triples. The
-//! verdict is the paper's termination test — a round in which nobody
-//! sent anything — computed from the per-round send counts every
-//! `RoundDone` carries, so it is reached by every worker in the same
-//! round, just like the in-process cumulative-counter check. The master
-//! ends with the in-process master's aggregate/recover/report tail
-//! (`owlpar_core::master::finish_run`).
+//! `Deliver` hands it the round verdict plus its inbound triples.
+//!
+//! The master coordinates the rounds with the in-process coordinator,
+//! [`run_peers`]: each worker connection gets a `Proxy`, a barrier peer
+//! that acts for its remote worker (see there), and the run ends with
+//! the in-process aggregate/recover/report tail, [`finish_run`].
 //!
 //! ## Star, not mesh
 //!
 //! Relaying rounds through the master costs each triple two hops but
 //! buys the failure model: the master observes every worker through one
 //! connection with a deadline, so a dead, hung or defecting worker is
-//! detected at the next read and the run flows into the same
-//! adopt-and-reclose recovery the in-process master uses ([`RunPlan`]'s
-//! recoverability rule is shared). The peer-to-peer TCP path without a
-//! coordinator is the in-process mesh (`transport`).
+//! detected at its proxy's next read and the run flows into the same
+//! adopt-and-reclose recovery the in-process master uses
+//! ([`RunPlan`](owlpar_core::RunPlan)'s recoverability rule is shared).
+//! The peer-to-peer TCP path without a coordinator is the in-process
+//! mesh (`transport`).
 //!
 //! ## Failure discipline
 //!
@@ -35,8 +35,11 @@
 //! recoverable: survivors drain at the next verdict (any death forces
 //! `stop`), their stores are unioned (each is a subset of the closure),
 //! and — for data partitioning under
-//! [`FaultRecovery::AdoptAndReclose`] — a serial re-close reproduces
-//! exactly the serial closure, monotonicity doing the proof.
+//! [`FaultRecovery::AdoptAndReclose`](owlpar_core::FaultRecovery) — a
+//! serial re-close reproduces exactly the serial closure, monotonicity
+//! doing the proof. A worker silent for one round timeout is the one
+//! reported lost: a proxy's socket patience is the round timeout, its
+//! barrier patience twice that.
 
 use crate::cache::PartitionCache;
 use crate::protocol::{
@@ -44,13 +47,16 @@ use crate::protocol::{
     encode_setup_payload, encode_worker_msg, CacheEntry, MasterMsg, NetError, Setup, SetupPayload,
     WireFault, WireRouting, WireStats, WorkerMsg, PROTOCOL_VERSION, WIRE_MAGIC,
 };
+use owlpar_core::comm::{build_fabric, CommMode, WorkerComm};
 use owlpar_core::config::RoundMode;
-use owlpar_core::master::{finish_run, resolve_materialization, WorkersDone};
-use owlpar_core::stats::{WireBytes, WirePhase, WireRound};
-use owlpar_core::worker::{run_rounds, Exchange, Routing};
+use owlpar_core::master::{finish_run, resolve_materialization, run_peers, Peer};
+use owlpar_core::stats::{WireBytes, WirePhase, WireRound, WorkerStats};
+use owlpar_core::worker::{
+    run_rounds, with_exchange, BarrierExchange, Exchange, Rendezvous, Routing,
+};
 use owlpar_core::{
     digest128, prepare_run, read_crc_frame, write_crc_frame, Backoff, CommError, Digest128,
-    FaultKind, ParallelConfig, RunError, RunReport, WorkerError,
+    FaultKind, FrameError, ParallelConfig, RunError, RunReport, WorkerError,
 };
 use owlpar_datalog::{Reasoner, Rule};
 use owlpar_obs::{wire as obs_wire, Metric, Phase, Recorder, Track, NO_ROUND};
@@ -62,7 +68,7 @@ use std::io::ErrorKind;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -137,8 +143,8 @@ impl Default for WorkerOptions {
 // ---------------------------------------------------------------------
 
 /// Master-side wire accounting, updated concurrently by the
-/// per-connection handler threads. The star topology makes the master
-/// the authoritative vantage point: every frame of the run crosses it
+/// per-connection proxies. The star topology makes the master the
+/// authoritative vantage point: every frame of the run crosses it
 /// exactly once.
 #[derive(Debug, Default)]
 struct WireLedger {
@@ -150,11 +156,11 @@ struct WireLedger {
     cache_misses: AtomicU64,
     /// Round-phase traffic broken out per round number:
     /// `round → (bytes, triples)`. Inbound `Triples` frames carry no
-    /// round number, so each handler buffers them and flushes the
-    /// accumulator when the worker's `RoundDone(r)` labels the batch;
-    /// outbound `DeliverChunk`/`Deliver` are charged to their explicit
-    /// round. A `BTreeMap` under a mutex — a handful of handler threads
-    /// touching it once per frame burst, never on the triple hot path.
+    /// round number; a proxy charges them to the round it is relaying
+    /// (they precede that round's `RoundDone`). Outbound
+    /// `DeliverChunk`/`Deliver` are charged to their explicit round. A
+    /// `BTreeMap` under a mutex — a handful of proxy threads touching it
+    /// once per frame, never on the triple hot path.
     per_round: Mutex<BTreeMap<u32, (u64, u64)>>,
 }
 
@@ -169,8 +175,14 @@ impl WireLedger {
         Self::add(&self.setup, body_len, triples);
     }
 
-    fn round_frame(&self, body_len: usize, triples: usize) {
+    /// Charge a round-phase frame to the phase and to round `round`.
+    fn round_frame(&self, round: usize, body_len: usize, triples: usize) {
         Self::add(&self.rounds, body_len, triples);
+        if let Ok(mut per_round) = self.per_round.lock() {
+            let slot = per_round.entry(round as u32).or_insert((0, 0));
+            slot.0 += body_len as u64 + FRAME_OVERHEAD;
+            slot.1 += triples as u64;
+        }
     }
 
     fn final_frame(&self, body_len: usize, triples: usize) {
@@ -180,18 +192,6 @@ impl WireLedger {
     fn control_frame(&self, body_len: usize) {
         self.control_bytes
             .fetch_add(body_len as u64 + FRAME_OVERHEAD, Ordering::Relaxed);
-    }
-
-    /// Charge `bytes`/`triples` of round-phase traffic to round `round`.
-    fn round_traffic(&self, round: u32, bytes: u64, triples: u64) {
-        if bytes == 0 && triples == 0 {
-            return;
-        }
-        if let Ok(mut per_round) = self.per_round.lock() {
-            let slot = per_round.entry(round).or_insert((0, 0));
-            slot.0 += bytes;
-            slot.1 += triples;
-        }
     }
 
     fn cache_outcome(&self, hit: bool) {
@@ -258,273 +258,326 @@ fn handshake_err(detail: impl Into<String>) -> NetError {
     }
 }
 
-fn send_master(stream: &mut TcpStream, msg: &MasterMsg) -> Result<(), NetError> {
-    write_crc_frame(stream, &encode_master_msg(msg)).map_err(NetError::from)
-}
-
 // ---------------------------------------------------------------------
 // master
 // ---------------------------------------------------------------------
 
-/// What a connection-handler thread distills worker frames into.
-enum Event {
-    /// The worker routed a batch to worker `to`.
-    Routed {
-        from: usize,
-        to: usize,
-        batch: Vec<Triple>,
-    },
-    /// The worker finished a round's sends.
-    Done {
-        from: usize,
-        round: usize,
-        sent: u64,
-    },
-    /// The worker delivered its final counters and store.
-    Final {
-        from: usize,
-        stats: WireStats,
-        store: Vec<Triple>,
-    },
-    /// The connection is gone (EOF, deadline, CRC damage, bad grammar).
-    Dead { from: usize, detail: String },
+/// When a remote worker's `RoundDone` reached its proxy and when the
+/// proxy released that round's verdict, on the trace recorder's clock
+/// (µs; all zero when tracing is off) — what the relay lane and the
+/// `RoundSummary` lines are laid out from after the join.
+#[derive(Debug, Clone, Copy)]
+struct RoundMark {
+    /// Triples the worker announced for the round.
+    sent: u64,
+    arrived_us: u64,
+    released_us: u64,
 }
 
-/// Per-connection pump: frames in → events out, `Deliver`s written back
-/// when the coordinator releases the round. Exits on `Final`, on any
-/// connection error, or when the coordinator drops the delivery sender
-/// (the worker was declared dead).
+/// The master's stand-in for one remote worker: a barrier peer that
+/// acts for it through the in-process [`BarrierExchange`] over a channel
+/// fabric. Per round it reads the worker's `Triples` frames into an
+/// outbox; on `RoundDone` it sends them, crosses the barriers, takes the
+/// shared verdict and writes the inbound triples back as
+/// `DeliverChunk* Deliver{stop}`. After the stop verdict it collects
+/// the worker's `Final` store.
 ///
-/// Large deliveries are split here into `DeliverChunk* Deliver` at
-/// `chunk` triples per frame; inbound `FinalChunk` sequences are
-/// reassembled here, so the coordinator only ever sees whole stores.
-/// Every frame is charged to the shared [`WireLedger`].
-///
-/// When `trace` is set, inbound `TraceChunk` frames accumulate here and
-/// are absorbed into the recorder (as `worker {id}`, pid `id + 1`) when
-/// the pump exits — on `Final` and on death alike, so a crashed
-/// worker's spans up to its last chunk still reach the merged timeline.
-#[allow(clippy::too_many_arguments)] // internal pump; the master wires it up once
-fn handle_worker(
+/// The frame state machine enforces the round protocol: a batch routed
+/// past the cluster, a wrong round number, a `Final` before the stop
+/// verdict or a repeated handshake loses the worker with
+/// `CommError::Protocol`. `TraceChunk`s are absorbed into the recorder
+/// (as `worker {id}`, pid `id + 1`) when the proxy ends, on failure too,
+/// so a crashed worker's spans still reach the timeline.
+struct Proxy<'a> {
     id: usize,
+    k: usize,
     stream: TcpStream,
     n_terms: u32,
     chunk: usize,
-    ledger: &WireLedger,
-    events: &mpsc::Sender<Event>,
-    delivery: &mpsc::Receiver<MasterMsg>,
-    trace: Option<&Recorder>,
-) {
-    let mut acc = TraceAcc::default();
-    pump_worker(
-        id, stream, n_terms, chunk, ledger, events, delivery, trace, &mut acc,
-    );
-    if let (Some(rec), false) = (trace, acc.events.is_empty()) {
-        rec.absorb(
-            &acc.events,
-            &format!("worker {id}"),
-            id as u32 + 1,
-            acc.offset_us.unwrap_or(0),
-        );
-    }
-}
-
-/// Worker telemetry accumulated by one connection handler: decoded
-/// events plus the best clock-offset estimate — the minimum of
-/// `master receipt − worker clock` over all chunks, because the chunk
-/// with the smallest transit delay bounds the offset tightest.
-#[derive(Default)]
-struct TraceAcc {
+    /// Socket read patience: a worker silent this long is lost.
+    round_timeout: Duration,
+    ledger: &'a WireLedger,
+    trace: Option<&'a Recorder>,
+    /// The worker's shipped telemetry events.
     events: Vec<owlpar_obs::Event>,
+    /// The best clock-offset estimate: the minimum of `master receipt −
+    /// worker clock` over all chunks, because the chunk with the
+    /// smallest transit delay bounds the offset tightest.
     offset_us: Option<i64>,
+    marks: &'a mut Vec<RoundMark>,
 }
 
-#[allow(clippy::too_many_arguments)] // split from handle_worker, same wiring
-fn pump_worker(
-    id: usize,
-    mut stream: TcpStream,
-    n_terms: u32,
-    chunk: usize,
-    ledger: &WireLedger,
-    events: &mpsc::Sender<Event>,
-    delivery: &mpsc::Receiver<MasterMsg>,
-    trace: Option<&Recorder>,
-    acc: &mut TraceAcc,
-) {
-    let dead = |detail: String| {
-        let _ = events.send(Event::Dead { from: id, detail });
-    };
-    let chunk = chunk.max(1);
-    let mut final_acc: Vec<Triple> = Vec::new();
-    let mut next_seq = 0u32;
-    // Inbound round traffic awaiting a round label (see
-    // `WireLedger::per_round`): `(bytes, triples)`.
-    let mut pending = (0u64, 0u64);
-    loop {
-        let body = match read_crc_frame(&mut stream) {
-            Ok(b) => b,
-            Err(e) => return dead(format!("reading from worker {id}: {e}")),
-        };
-        match decode_worker_msg(&body, n_terms) {
-            Ok(WorkerMsg::Triples { to, batch }) => {
-                ledger.round_frame(body.len(), batch.len());
-                pending.0 += body.len() as u64 + FRAME_OVERHEAD;
-                pending.1 += batch.len() as u64;
-                let routed = Event::Routed {
-                    from: id,
-                    to: to as usize,
-                    batch,
-                };
-                if events.send(routed).is_err() {
-                    return;
+impl Proxy<'_> {
+    /// Relay the worker's rounds over `comm` to the stop verdict, then
+    /// return its final store and counters.
+    fn run(
+        mut self,
+        mut comm: WorkerComm,
+        shared: &Rendezvous,
+    ) -> Result<(Vec<Triple>, WorkerStats), WorkerError> {
+        // Barrier patience beyond the socket's: a silent worker's own
+        // proxy times out first and is the one reported lost, never the
+        // peers left waiting on it.
+        let patience = self.round_timeout.saturating_mul(2);
+        let mut exchange = BarrierExchange::new(self.id, &mut comm, shared, patience);
+        let outcome = with_exchange(&mut exchange, |x| self.relay_rounds(x))
+            .and_then(|round| self.collect_final(round));
+        if let (Some(rec), false) = (self.trace, self.events.is_empty()) {
+            rec.absorb(
+                &self.events,
+                &format!("worker {}", self.id),
+                self.id as u32 + 1,
+                self.offset_us.unwrap_or(0),
+            );
+        }
+        outcome
+    }
+
+    /// The round loop; returns the round that stopped the run.
+    fn relay_rounds(&mut self, x: &mut BarrierExchange<'_>) -> Result<usize, WorkerError> {
+        // The relay lane's waits are laid out after the join (see
+        // `trace_rounds`), not per proxy.
+        let mut lane = Recorder::disabled().track("proxy");
+        let mut round = 0usize;
+        loop {
+            let mut outbox: Vec<Vec<Triple>> = vec![Vec::new(); self.k];
+            let sent = loop {
+                match self.next(round)? {
+                    WorkerMsg::Triples { to, batch } => match outbox.get_mut(to as usize) {
+                        Some(slot) => append(slot, batch),
+                        None => {
+                            let detail = format!("routed a batch to worker {to} of {}", self.k);
+                            return Err(self.violation(round, detail));
+                        }
+                    },
+                    WorkerMsg::RoundDone { round: r, sent } if r as usize == round => break sent,
+                    WorkerMsg::RoundDone { round: r, .. } => {
+                        let detail = format!("announced round {r} during round {round}");
+                        return Err(self.violation(round, detail));
+                    }
+                    _ => return Err(self.violation(round, "sent Final before the stop verdict")),
                 }
+            };
+            let arrived_us = self.now_us();
+            x.begin_round(round)?;
+            x.send(round, &outbox)?;
+            drop(outbox); // the channels hold their own copies now
+            let (inbound, stop) = x.finish_round(round, sent, &mut lane)?;
+            self.marks.push(RoundMark {
+                sent,
+                arrived_us,
+                released_us: self.now_us(),
+            });
+            self.deliver(round, inbound, stop)?;
+            if stop {
+                return Ok(round);
             }
-            Ok(WorkerMsg::RoundDone { round, sent }) => {
-                ledger.control_frame(body.len());
-                ledger.round_traffic(round, pending.0, pending.1);
-                pending = (0, 0);
-                let done = Event::Done {
-                    from: id,
-                    round: round as usize,
-                    sent,
-                };
-                if events.send(done).is_err() {
-                    return;
+            round += 1;
+        }
+    }
+
+    /// Collect the worker's `FinalChunk* Final` stream after the stop
+    /// verdict of `round`.
+    fn collect_final(&mut self, round: usize) -> Result<(Vec<Triple>, WorkerStats), WorkerError> {
+        let mut store = Vec::new();
+        let mut next_seq = 0u32;
+        loop {
+            match self.next(round)? {
+                WorkerMsg::FinalChunk { seq, batch } if seq == next_seq => {
+                    next_seq += 1;
+                    append(&mut store, batch);
                 }
-                // Block until the coordinator releases the round for this
-                // worker; a closed channel means we were declared dead.
-                let Ok(msg) = delivery.recv() else { return };
-                let MasterMsg::Deliver {
-                    round,
-                    stop,
-                    mut triples,
-                } = msg
-                else {
-                    return dead(format!("coordinator queued a non-Deliver for worker {id}"));
-                };
-                // Stream the bulk as bounded chunks; the verdict frame
-                // carries the tail, so the worker needs no chunk count
-                // up front and any inbox size fits under the frame cap.
-                let mut offset = 0usize;
-                while triples.len() - offset > chunk {
-                    let part = MasterMsg::DeliverChunk {
+                WorkerMsg::FinalChunk { seq, .. } => {
+                    let detail = format!("sent final chunk {seq}, expected {next_seq}");
+                    return Err(self.lost(round, detail));
+                }
+                WorkerMsg::Final { stats, store: tail } => {
+                    append(&mut store, tail);
+                    return Ok((store, stats.into_worker_stats(self.id)));
+                }
+                WorkerMsg::Triples { .. } => {} // late, harmless: the run is over
+                _ => return Err(self.violation(round, "announced a round after the stop verdict")),
+            }
+        }
+    }
+
+    /// Read the worker's next `Triples`, `RoundDone`, `FinalChunk` or
+    /// `Final`, charging every frame to the ledger and absorbing
+    /// telemetry on the way.
+    fn next(&mut self, round: usize) -> Result<WorkerMsg, WorkerError> {
+        loop {
+            let body = read_crc_frame(&mut self.stream).map_err(|e| match e {
+                // Silence for a whole round timeout: this worker is the
+                // straggler.
+                FrameError::Io(io)
+                    if matches!(io.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    WorkerError::BarrierTimeout {
+                        worker: self.id,
                         round,
-                        batch: triples[offset..offset + chunk].to_vec(),
-                    };
-                    let part_body = encode_master_msg(&part);
-                    ledger.round_frame(part_body.len(), chunk);
-                    ledger.round_traffic(round, part_body.len() as u64 + FRAME_OVERHEAD, chunk as u64);
-                    if let Err(e) = write_crc_frame(&mut stream, &part_body) {
-                        return dead(format!("delivering round chunk to worker {id}: {e}"));
-                    }
-                    offset += chunk;
-                }
-                triples.drain(..offset);
-                let tail = triples.len();
-                let verdict = MasterMsg::Deliver {
-                    round,
-                    stop,
-                    triples,
-                };
-                let verdict_body = encode_master_msg(&verdict);
-                ledger.round_frame(verdict_body.len(), tail);
-                ledger.round_traffic(round, verdict_body.len() as u64 + FRAME_OVERHEAD, tail as u64);
-                if let Err(e) = write_crc_frame(&mut stream, &verdict_body) {
-                    return dead(format!("delivering round to worker {id}: {e}"));
-                }
-            }
-            Ok(WorkerMsg::FinalChunk { seq, batch }) => {
-                ledger.final_frame(body.len(), batch.len());
-                if seq != next_seq {
-                    return dead(format!(
-                        "worker {id} sent final chunk {seq}, expected {next_seq}"
-                    ));
-                }
-                next_seq += 1;
-                final_acc.extend(batch);
-            }
-            Ok(WorkerMsg::Final { stats, store }) => {
-                ledger.final_frame(body.len(), store.len());
-                final_acc.extend(store);
-                let _ = events.send(Event::Final {
-                    from: id,
-                    stats,
-                    store: final_acc,
-                });
-                return;
-            }
-            Ok(WorkerMsg::TraceChunk { payload }) => {
-                ledger.control_frame(body.len());
-                // Tolerated-but-dropped when tracing is off: the Welcome
-                // told this worker not to send any, but a stray chunk is
-                // not worth killing the run over.
-                let Some(rec) = trace else { continue };
-                let receipt = i64::try_from(rec.now_us()).unwrap_or(i64::MAX);
-                match obs_wire::decode_trace_chunk(&payload) {
-                    Ok(chunk) => {
-                        let clock = i64::try_from(chunk.clock_us).unwrap_or(i64::MAX);
-                        let offset = receipt.saturating_sub(clock);
-                        acc.offset_us = Some(acc.offset_us.map_or(offset, |o| o.min(offset)));
-                        acc.events.extend(chunk.events);
-                    }
-                    Err(e) => {
-                        return dead(format!("undecodable trace chunk from worker {id}: {e}"))
+                        waited: self.round_timeout,
                     }
                 }
+                e => self.lost(round, format!("reading: {e}")),
+            })?;
+            let msg = decode_worker_msg(&body, self.n_terms)
+                .map_err(|e| self.lost(round, format!("undecodable message: {e}")))?;
+            match &msg {
+                WorkerMsg::Triples { batch, .. } => {
+                    self.ledger.round_frame(round, body.len(), batch.len());
+                }
+                WorkerMsg::RoundDone { .. } => self.ledger.control_frame(body.len()),
+                WorkerMsg::FinalChunk { batch: t, .. } | WorkerMsg::Final { store: t, .. } => {
+                    self.ledger.final_frame(body.len(), t.len());
+                }
+                WorkerMsg::TraceChunk { payload } => {
+                    self.ledger.control_frame(body.len());
+                    self.absorb_chunk(round, payload)?;
+                    continue;
+                }
+                WorkerMsg::Hello { .. } | WorkerMsg::CacheAdvert { .. } => {
+                    return Err(self.violation(round, "repeated the handshake mid-run"));
+                }
             }
-            Ok(WorkerMsg::Hello { .. } | WorkerMsg::CacheAdvert { .. }) => {
-                return dead(format!("worker {id} repeated the handshake mid-run"))
-            }
-            Err(e) => return dead(format!("undecodable message from worker {id}: {e}")),
+            return Ok(msg);
         }
     }
-}
 
-/// The coordinator's view of which workers are still in the run.
-struct Roster {
-    alive: Vec<bool>,
-    /// Per-worker delivery senders; dropping one unblocks its handler.
-    delivery: Vec<Option<mpsc::Sender<MasterMsg>>>,
-    /// Why each lost worker was lost, in detection order.
-    errors: Vec<WorkerError>,
-}
-
-impl Roster {
-    /// Declare worker `id` lost with `err`; the first cause wins.
-    fn kill(&mut self, id: usize, err: WorkerError) {
-        if self.alive[id] {
-            self.alive[id] = false;
-            self.delivery[id] = None; // unblocks the handler
-            self.errors.push(err);
-        }
+    /// Buffer one `TraceChunk`'s events and refine the clock offset.
+    /// Tolerated-but-dropped when tracing is off: the Welcome told this
+    /// worker not to send any, but a stray chunk is not worth killing
+    /// the run over.
+    fn absorb_chunk(&mut self, round: usize, payload: &[u8]) -> Result<(), WorkerError> {
+        let Some(rec) = self.trace else { return Ok(()) };
+        let receipt = i64::try_from(rec.now_us()).unwrap_or(i64::MAX);
+        let chunk = obs_wire::decode_trace_chunk(payload)
+            .map_err(|e| self.lost(round, format!("undecodable trace chunk: {e}")))?;
+        let offset = receipt.saturating_sub(i64::try_from(chunk.clock_us).unwrap_or(i64::MAX));
+        self.offset_us = Some(self.offset_us.map_or(offset, |o| o.min(offset)));
+        self.events.extend(chunk.events);
+        Ok(())
     }
-}
 
-/// A worker that broke the round protocol in `round`.
-fn protocol_violation(round: usize, worker: usize, detail: String) -> WorkerError {
-    WorkerError::Comm {
-        worker,
-        source: CommError::Protocol {
+    /// Write round `round`'s inbound triples and verdict to the worker.
+    /// The bulk streams as bounded `DeliverChunk`s; the `Deliver` verdict
+    /// frame carries the tail, so the worker needs no chunk count up
+    /// front and any inbox size fits under the frame cap.
+    fn deliver(
+        &mut self,
+        round: usize,
+        mut triples: Vec<Triple>,
+        stop: bool,
+    ) -> Result<(), WorkerError> {
+        let r = round as u32;
+        let mut offset = 0usize;
+        while triples.len() - offset > self.chunk {
+            let batch = triples[offset..offset + self.chunk].to_vec();
+            self.write_round(round, &MasterMsg::DeliverChunk { round: r, batch }, self.chunk)?;
+            offset += self.chunk;
+        }
+        triples.drain(..offset);
+        let tail = triples.len();
+        self.write_round(round, &MasterMsg::Deliver { round: r, stop, triples }, tail)
+    }
+
+    /// Write one frame of round `round` carrying `triples` triples.
+    fn write_round(
+        &mut self,
+        round: usize,
+        msg: &MasterMsg,
+        triples: usize,
+    ) -> Result<(), WorkerError> {
+        let body = encode_master_msg(msg);
+        self.ledger.round_frame(round, body.len(), triples);
+        write_crc_frame(&mut self.stream, &body)
+            .map_err(|e| self.lost(round, format!("delivering round {round}: {e}")))
+    }
+
+    fn now_us(&self) -> u64 {
+        self.trace.map_or(0, Recorder::now_us)
+    }
+
+    /// The worker broke the round protocol in `round`.
+    fn violation(&self, round: usize, detail: impl Into<String>) -> WorkerError {
+        let (worker, detail) = (self.id, detail.into());
+        let source = CommError::Protocol {
             round,
             worker,
             peer: worker,
             detail,
-        },
+        };
+        WorkerError::Comm { worker, source }
     }
-}
 
-/// A worker whose connection died in `round`.
-fn connection_lost(round: usize, worker: usize, detail: String) -> WorkerError {
-    WorkerError::Comm {
-        worker,
-        source: CommError::Io {
+    /// The worker's connection died in `round`.
+    fn lost(&self, round: usize, detail: String) -> WorkerError {
+        let worker = self.id;
+        let source = CommError::Io {
             round,
             worker,
             path: None,
             kind: ErrorKind::ConnectionAborted,
             detail,
             attempts: 1,
-        },
+        };
+        WorkerError::Comm { worker, source }
+    }
+}
+
+/// Append `batch` to `acc`, taking it over whole when `acc` is empty.
+fn append(acc: &mut Vec<Triple>, batch: Vec<Triple>) {
+    if acc.is_empty() {
+        *acc = batch;
+    } else {
+        acc.extend(batch);
+    }
+}
+
+/// Lay the rounds the proxies saw onto the relay lane after the join:
+/// per round, a `BarrierWait` span from the previous round's release to
+/// the last `RoundDone`, and the relay's `Exchange`/`Bytes` count from
+/// the per-round ledger. With `summary` (traced runs: the analyzer's
+/// predictions as a line suffix), also print one `RoundSummary` line
+/// per round: the skew of `RoundDone` arrivals measured from the
+/// previous release — the gap between first and last arrival is the
+/// straggler tax the analyzer's `skew_ratio` predicts.
+fn trace_rounds(
+    relay: &mut Track,
+    mut t0_us: u64,
+    marks: &[Vec<RoundMark>],
+    per_round: &[WireRound],
+    summary: Option<&str>,
+) {
+    let rounds = marks.iter().map(Vec::len).max().unwrap_or(0);
+    for round in 0..rounds {
+        let this: Vec<&RoundMark> = marks.iter().filter_map(|m| m.get(round)).collect();
+        let last_us = this.iter().map(|m| m.arrived_us).max().unwrap_or(t0_us);
+        relay.span_at(Phase::BarrierWait, round as u32, t0_us, last_us.saturating_sub(t0_us));
+        let relay_bytes = per_round
+            .iter()
+            .find(|r| r.round == round as u32)
+            .map_or(0, |r| r.bytes);
+        relay.count(Phase::Exchange, round as u32, Metric::Bytes, relay_bytes);
+        if let Some(pred) = summary {
+            let done_at_ms: Vec<f64> = this
+                .iter()
+                .map(|m| m.arrived_us.saturating_sub(t0_us) as f64 / 1e3)
+                .collect();
+            let max = done_at_ms.iter().copied().fold(f64::MIN, f64::max);
+            let min = done_at_ms.iter().copied().fold(f64::MAX, f64::min);
+            let mean = done_at_ms.iter().sum::<f64>() / done_at_ms.len() as f64;
+            let skew_ratio = if mean > 0.0 { max / mean } else { 1.0 };
+            eprintln!(
+                "[owlpar-cluster] RoundSummary round={round} workers={} \
+                 sent={} max_ms={max:.1} min_ms={min:.1} \
+                 skew_ms={:.1} skew_ratio={skew_ratio:.2} \
+                 relay_bytes={relay_bytes}{pred}",
+                this.len(),
+                this.iter().map(|m| m.sent).sum::<u64>(),
+                max - min,
+            );
+        }
+        t0_us = this.iter().map(|m| m.released_us).min().unwrap_or(last_us);
     }
 }
 
@@ -637,7 +690,8 @@ fn accept_worker(
                 "incompatible hello: magic {magic:#010x} version {version}, \
                  this master speaks {WIRE_MAGIC:#010x} version {PROTOCOL_VERSION}"
             );
-            let _ = send_master(&mut stream, &MasterMsg::Reject { reason: reason.clone() });
+            let reject = encode_master_msg(&MasterMsg::Reject { reason: reason.clone() });
+            let _ = write_crc_frame(&mut stream, &reject);
             Err(handshake_err(reason))
         }
         other => Err(handshake_err(format!(
@@ -695,7 +749,6 @@ pub fn run_cluster_master(
         )));
     }
     let start_total = Instant::now();
-    let before_len = graph.len();
     // The cache key's input half is the KB as handed to us, digested
     // before partitioning touches anything.
     let in_digest = input_digest(graph);
@@ -715,16 +768,20 @@ pub fn run_cluster_master(
         }
         _ => plan.analysis.clone(),
     };
-    let pred_round_bytes = analysis
+    let pred = analysis
         .as_ref()
-        .map(|a| a.round_bytes / a.rounds.expected.max(1) as f64);
-    let pred_skew = analysis.as_ref().map(|a| a.max_load_share * k as f64);
+        .map(|a| {
+            let round_bytes = a.round_bytes / a.rounds.expected.max(1) as f64;
+            let skew = a.max_load_share * k as f64;
+            format!(" pred_round_bytes={round_bytes:.0} pred_skew_ratio={skew:.2}")
+        })
+        .unwrap_or_default();
     let trace_rec = trace.clone().unwrap_or_default();
     let mut relay = trace_rec.track("relay");
     let n_terms = graph.dict.len() as u32;
     let materialization = resolve_materialization(cfg.materialization, k);
     let cfg_digest = config_digest(cfg, k, materialization);
-    let ledger = Arc::new(WireLedger::default());
+    let ledger = WireLedger::default();
 
     // --- bootstrap: all-or-nothing -----------------------------------
     let setup_span = relay.begin(Phase::Setup, NO_ROUND);
@@ -775,254 +832,46 @@ pub fn run_cluster_master(
         ledger.setup_frame(body.len(), if hit { 0 } else { payload_triples });
         write_crc_frame(stream, &body)?;
         // From here on the per-read patience is the round timeout: a
-        // worker that produces nothing for that long is declared dead.
-        stream.set_read_timeout(Some(cfg.round_timeout.saturating_mul(2)))?;
+        // worker that produces nothing for that long is declared lost.
+        stream.set_read_timeout(Some(cfg.round_timeout))?;
         stream.set_write_timeout(Some(cfg.round_timeout))?;
     }
     relay.end(setup_span);
 
-    // --- rounds ------------------------------------------------------
-    let t_par = Instant::now();
-    let (events_tx, events) = mpsc::channel::<Event>();
-    let mut roster = Roster {
-        alive: vec![true; k],
-        delivery: Vec::with_capacity(k),
-        errors: Vec::new(),
-    };
-    let mut finals: Vec<Option<(WireStats, Vec<Triple>)>> = (0..k).map(|_| None).collect();
-
-    thread::scope(|scope| {
-        for (id, stream) in streams.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<MasterMsg>();
-            roster.delivery.push(Some(tx));
-            let handler_tx = events_tx.clone();
-            let handler_ledger = Arc::clone(&ledger);
-            let handler_trace = trace.clone();
-            let chunk = opts.chunk_triples;
-            let builder = thread::Builder::new().name(format!("cluster-worker-{id}"));
-            let spawned = builder.spawn_scoped(scope, move || {
-                handle_worker(
-                    id,
-                    stream,
-                    n_terms,
-                    chunk,
-                    &handler_ledger,
-                    &handler_tx,
-                    &rx,
-                    handler_trace.as_ref(),
-                );
-            });
-            if spawned.is_err() {
-                let _ = events_tx.send(Event::Dead {
-                    from: id,
-                    detail: "could not spawn connection handler".to_string(),
-                });
-            }
-        }
-        drop(events_tx);
-
-        let mut inboxes: Vec<Vec<Triple>> = (0..k).map(|_| Vec::new()).collect();
-
-        let mut round = 0usize;
-        loop {
-            let mut done = vec![false; k];
-            let mut round_sent = 0u64;
-            // Live skew: when each worker's RoundDone lands, measured
-            // from the master's release of the previous round. The gap
-            // between first and last arrival is the straggler tax the
-            // analyzer's `skew_ratio` predicts.
-            let round_t0 = Instant::now();
-            let mut done_at_ms: Vec<f64> = Vec::with_capacity(k);
-            let relay_bytes_before = ledger.rounds[0].load(Ordering::Relaxed);
-            let wait_span = relay.begin(Phase::BarrierWait, round as u32);
-            while (0..k).any(|i| roster.alive[i] && !done[i]) {
-                match events.recv_timeout(cfg.round_timeout) {
-                    Ok(Event::Routed { from, to, batch }) => {
-                        if to < k {
-                            inboxes[to].extend(batch);
-                        } else {
-                            roster.kill(
-                                from,
-                                protocol_violation(
-                                    round,
-                                    from,
-                                    format!("routed a batch to worker {to} of {k}"),
-                                ),
-                            );
-                        }
-                    }
-                    Ok(Event::Done { from, round: r, sent }) => {
-                        if r == round {
-                            done[from] = true;
-                            round_sent += sent;
-                            done_at_ms.push(round_t0.elapsed().as_secs_f64() * 1e3);
-                        } else {
-                            roster.kill(
-                                from,
-                                protocol_violation(
-                                    round,
-                                    from,
-                                    format!("announced round {r} during round {round}"),
-                                ),
-                            );
-                        }
-                    }
-                    Ok(Event::Dead { from, detail }) => {
-                        roster.kill(from, connection_lost(round, from, detail));
-                    }
-                    Ok(Event::Final { from, .. }) => {
-                        roster.kill(
-                            from,
-                            protocol_violation(
-                                round,
-                                from,
-                                "sent Final before the stop verdict".to_string(),
-                            ),
-                        );
-                    }
-                    Err(_) => {
-                        // Nothing from anyone for a whole round timeout:
-                        // declare every straggler dead.
-                        for (id, &announced) in done.iter().enumerate() {
-                            if roster.alive[id] && !announced {
-                                roster.kill(
-                                    id,
-                                    WorkerError::BarrierTimeout {
-                                        worker: id,
-                                        round,
-                                        waited: cfg.round_timeout,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-
-            relay.end(wait_span);
-
-            // The verdict: quiescence, or any loss so far drains the
-            // survivors — same rule as the in-process RunFlags check.
-            let stop = round_sent == 0 || !roster.errors.is_empty();
-            for id in 0..k {
-                if !roster.alive[id] || !done[id] {
-                    continue;
-                }
-                let deliver = MasterMsg::Deliver {
-                    round: round as u32,
-                    stop,
-                    triples: std::mem::take(&mut inboxes[id]),
-                };
-                if let Some(tx) = &roster.delivery[id] {
-                    if tx.send(deliver).is_err() {
-                        roster.kill(
-                            id,
-                            WorkerError::Comm {
-                                worker: id,
-                                source: CommError::Disconnected {
-                                    round,
-                                    from: id,
-                                    to: id,
-                                },
-                            },
-                        );
-                    }
-                }
-            }
-            // Relay traffic this round, measured at the master: inbound
-            // Triples plus outbound Deliver(Chunk)s charged since the
-            // loop top. (Deliveries of round N−1 written after that
-            // snapshot smear into round N — a bounded, documented blur.)
-            let relay_bytes = ledger.rounds[0]
-                .load(Ordering::Relaxed)
-                .saturating_sub(relay_bytes_before);
-            relay.count(Phase::Exchange, round as u32, Metric::Bytes, relay_bytes);
-            if trace.is_some() && !done_at_ms.is_empty() {
-                let max = done_at_ms.iter().copied().fold(f64::MIN, f64::max);
-                let min = done_at_ms.iter().copied().fold(f64::MAX, f64::min);
-                let mean = done_at_ms.iter().sum::<f64>() / done_at_ms.len() as f64;
-                let skew_ratio = if mean > 0.0 { max / mean } else { 1.0 };
-                let pred = match (pred_round_bytes, pred_skew) {
-                    (Some(b), Some(s)) => {
-                        format!(" pred_round_bytes={b:.0} pred_skew_ratio={s:.2}")
-                    }
-                    _ => String::new(),
-                };
-                eprintln!(
-                    "[owlpar-cluster] RoundSummary round={round} workers={} \
-                     sent={round_sent} max_ms={max:.1} min_ms={min:.1} \
-                     skew_ms={:.1} skew_ratio={skew_ratio:.2} \
-                     relay_bytes={relay_bytes}{pred}",
-                    done_at_ms.len(),
-                    max - min,
-                );
-            }
-            if stop || !roster.alive.iter().any(|&a| a) {
-                break;
-            }
-            round += 1;
-        }
-
-        // --- finals --------------------------------------------------
-        while (0..k).any(|i| roster.alive[i] && finals[i].is_none()) {
-            match events.recv_timeout(cfg.round_timeout) {
-                Ok(Event::Final { from, stats, store }) => {
-                    finals[from] = Some((stats, store));
-                    roster.delivery[from] = None;
-                }
-                Ok(Event::Dead { from, detail }) => {
-                    roster.kill(from, connection_lost(round, from, detail));
-                }
-                Ok(Event::Routed { .. }) => {} // late, harmless: run is over
-                Ok(Event::Done { from, .. }) => {
-                    roster.kill(
-                        from,
-                        protocol_violation(
-                            round,
-                            from,
-                            "announced a round after the stop verdict".to_string(),
-                        ),
-                    );
-                }
-                Err(_) => {
-                    for (id, f) in finals.iter().enumerate() {
-                        if roster.alive[id] && f.is_none() {
-                            roster.kill(
-                                id,
-                                WorkerError::BarrierTimeout {
-                                    worker: id,
-                                    round,
-                                    waited: cfg.round_timeout,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        roster.delivery.clear(); // release any handler still blocked
-    });
-    let host_parallel_time = t_par.elapsed();
-
-    let finals = finals
+    // --- rounds: one barrier peer per remote worker --------------------
+    let fabric = build_fabric(k, &CommMode::Channel, &graph.dict)
+        .map_err(|source| NetError::Run(RunError::Fabric { source }))?;
+    let mut marks: Vec<Vec<RoundMark>> = vec![Vec::new(); k];
+    let rounds_t0 = trace_rec.now_us();
+    let peers = streams
         .into_iter()
+        .zip(fabric)
+        .zip(marks.iter_mut())
         .enumerate()
-        .map(|(id, f)| f.map(|(stats, store)| (store, stats.into_worker_stats(id))))
+        .map(|(id, ((stream, comm), marks))| -> Peer<'_, Vec<Triple>> {
+            let proxy = Proxy {
+                id,
+                k,
+                stream,
+                n_terms,
+                chunk: opts.chunk_triples.max(1),
+                round_timeout: cfg.round_timeout,
+                ledger: &ledger,
+                trace: trace.as_ref(),
+                events: Vec::new(),
+                offset_us: None,
+                marks,
+            };
+            Box::new(move |shared| proxy.run(comm, shared))
+        })
         .collect();
-    let report = finish_run(
-        graph,
-        cfg,
-        &plan,
-        &mut relay,
-        WorkersDone {
-            finals,
-            errors: roster.errors,
-            started: start_total,
-            before_len,
-            host_parallel_time,
-            wire: Some(ledger.snapshot()),
-        },
-    )?;
+    let done = run_peers(peers);
+    let wire = ledger.snapshot();
+    let summary = trace.is_some().then_some(pred.as_str());
+    trace_rounds(&mut relay, rounds_t0, &marks, &wire.per_round, summary);
+
+    let mut report = finish_run(graph, cfg, &plan, &mut relay, start_total, done)?;
+    report.wire = Some(wire);
     // Lay the analyzer's predictions beside the measured trace — the
     // exact keys `owlpar trace summary` reads from the `"plan"` extra.
     if let Some(rec) = &trace {
@@ -1385,8 +1234,8 @@ pub fn run_cluster_worker(
     };
     let payload = decode_setup_payload(&blob)?;
     let round_timeout = Duration::from_millis(setup.round_timeout_ms.max(1000));
-    // The master's Deliver can lag a full coordinator round behind our
-    // sends; give reads twice its patience before declaring it gone.
+    // The master's Deliver can lag a full round behind our sends; give
+    // reads twice its patience before declaring it gone.
     link.stream
         .set_read_timeout(Some(round_timeout.saturating_mul(2)))?;
     link.stream.set_write_timeout(Some(round_timeout))?;
@@ -1453,8 +1302,8 @@ pub fn run_cluster_worker(
         })?;
     }
     // Flush the telemetry stragglers (final Round span, last barrier
-    // wait) just before the Final frame — the handler absorbs the
-    // accumulated events when the pump exits.
+    // wait) just before the Final frame — the proxy absorbs the
+    // accumulated events when it ends.
     link.ship_trace(&rec, &mut lane)?;
     // The counters ride inside the Final frame, so they cannot include
     // it; the master-side ledger is the authoritative total.

@@ -14,10 +14,10 @@
 //!   partitions the KB with the same [`prepare_run`](owlpar_core::prepare_run)
 //!   the in-process runtime uses, ships each worker process its partition,
 //!   rule-base and routing table over a versioned bootstrap protocol, then
-//!   coordinates barrier rounds with per-connection deadlines. A worker
-//!   that dies mid-run (EOF, deadline, injected
-//!   [`FaultKind::Disconnect`](owlpar_core::FaultKind)) flows into the
-//!   same adopt-and-reclose recovery the in-process master uses.
+//!   coordinates barrier rounds with the in-process coordinator, one
+//!   proxy peer per connection. A worker that dies mid-run (EOF, deadline,
+//!   injected [`FaultKind::Disconnect`](owlpar_core::FaultKind)) flows
+//!   into the same adopt-and-reclose recovery the in-process master uses.
 //!
 //! Every frame on every connection is length-prefixed and CRC-checked
 //! through the shared `owlpar-core` frame codec; payload bounds are the

@@ -421,3 +421,119 @@ fn failed_bootstrap_leaves_graph_unchanged() {
     assert_eq!(g.len(), g0.len());
     assert_eq!(g.term_fingerprint(), g0.term_fingerprint());
 }
+
+/// Straggler attribution: a worker that goes silent past the round
+/// timeout (an injected `Delay` longer than a 1 s `round_timeout`) is
+/// the one reported lost — not the peers left waiting on it — and the
+/// run recovers to the serial closure.
+#[test]
+fn silent_straggler_is_the_worker_reported_lost() {
+    let g0 = generate_mdc(&MdcConfig::mini());
+    let (want_fp, want_len) = serial_closure(g0.clone());
+    let cfg = forward_cfg(3, PartitioningStrategy::data_graph())
+        .with_round_timeout(Duration::from_secs(1))
+        .with_faults(FaultPlan::new().with(1, 2, FaultKind::Delay { millis: 3_000 }));
+    let (report, g, workers) = run_cluster(&g0, &cfg);
+    let report = report.expect("master recovers from the straggler");
+    assert!(report.recovered, "the straggler's loss triggers recovery");
+    let lost: Vec<usize> = report.worker_errors.iter().map(|e| e.worker()).collect();
+    assert_eq!(lost, vec![2], "exactly the silent worker is lost: {:?}", report.worker_errors);
+    assert_eq!(g.len(), want_len);
+    assert_eq!(g.term_fingerprint(), want_fp);
+    assert_eq!(workers.iter().filter(|w| w.is_ok()).count(), 2, "peers finish cleanly");
+}
+
+/// How a scripted worker breaks the round protocol after bootstrap.
+#[derive(Clone, Copy, Debug)]
+enum Violation {
+    /// Route a batch to worker `k` (one past the last).
+    RouteOutOfRange,
+    /// Announce round 5 while the cluster is in round 0.
+    WrongRound,
+}
+
+/// A raw-socket worker that completes the handshake, reads its `Setup`,
+/// then commits `violation` and half-closes. Returns its node id.
+fn scripted_violator(addr: std::net::SocketAddr, violation: Violation) -> u32 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let send = |stream: &mut TcpStream, msg: &WorkerMsg| {
+        owlpar_core::write_crc_frame(stream, &encode_worker_msg(msg)).unwrap();
+    };
+    send(
+        &mut stream,
+        &WorkerMsg::Hello {
+            magic: WIRE_MAGIC,
+            version: PROTOCOL_VERSION,
+        },
+    );
+    let body = read_crc_frame(&mut stream).unwrap();
+    let MasterMsg::Welcome { node_id, k, .. } = decode_master_msg(&body, u32::MAX).unwrap() else {
+        panic!("expected Welcome");
+    };
+    send(&mut stream, &WorkerMsg::CacheAdvert { entries: Vec::new() });
+    let body = read_crc_frame(&mut stream).unwrap();
+    assert!(matches!(
+        decode_master_msg(&body, u32::MAX).unwrap(),
+        MasterMsg::Setup(_)
+    ));
+    let msg = match violation {
+        Violation::RouteOutOfRange => WorkerMsg::Triples {
+            to: k,
+            batch: vec![owlpar_rdf::Triple::new(
+                owlpar_rdf::NodeId(0),
+                owlpar_rdf::NodeId(0),
+                owlpar_rdf::NodeId(0),
+            )],
+        },
+        Violation::WrongRound => WorkerMsg::RoundDone { round: 5, sent: 0 },
+    };
+    send(&mut stream, &msg);
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    // Hold the connection until the master lets go of it.
+    let _ = std::io::copy(&mut stream, &mut std::io::sink());
+    node_id
+}
+
+/// Protocol violations mid-run: a worker that routes a batch past the
+/// cluster or announces the wrong round is lost with a typed
+/// `CommError::Protocol`, and the data-partitioned run recovers to the
+/// serial closure.
+#[test]
+fn protocol_violations_lose_the_offender_and_recover() {
+    let g0 = generate_lubm(&LubmConfig::mini(1));
+    let (want_fp, want_len) = serial_closure(g0.clone());
+    for violation in [Violation::RouteOutOfRange, Violation::WrongRound] {
+        let cfg = forward_cfg(2, PartitioningStrategy::data_graph())
+            .with_round_timeout(Duration::from_secs(30));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut g = g0.clone();
+        let (report, honest, offender) = thread::scope(|s| {
+            let offender = s.spawn(move || scripted_violator(addr, violation));
+            let honest = s.spawn(move || run_cluster_worker(addr, &WorkerOptions::default()));
+            let report = run_cluster_master(&mut g, &cfg, listener, &MasterOptions::default());
+            (report, honest.join().unwrap(), offender.join().unwrap())
+        });
+        let report = report.unwrap_or_else(|e| panic!("{violation:?}: {e}"));
+        assert!(report.recovered, "{violation:?}");
+        assert_eq!(report.worker_errors.len(), 1, "{violation:?}");
+        let err = &report.worker_errors[0];
+        assert_eq!(err.worker(), offender as usize, "{violation:?}: {err}");
+        assert!(
+            matches!(
+                err,
+                owlpar_core::WorkerError::Comm {
+                    source: owlpar_core::CommError::Protocol { .. },
+                    ..
+                }
+            ),
+            "{violation:?}: {err}"
+        );
+        honest.unwrap_or_else(|e| panic!("{violation:?}: honest worker: {e}"));
+        assert_eq!(g.len(), want_len, "{violation:?}");
+        assert_eq!(g.term_fingerprint(), want_fp, "{violation:?}");
+    }
+}

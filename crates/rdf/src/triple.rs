@@ -1,7 +1,6 @@
-//! Dictionary-encoded triples and their wire encoding.
+//! Dictionary-encoded triples.
 
 use crate::dictionary::NodeId;
-use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
 /// A dictionary-encoded RDF triple: subject, predicate, object ids.
@@ -31,27 +30,6 @@ impl Triple {
     pub fn as_array(&self) -> [NodeId; 3] {
         [self.s, self.p, self.o]
     }
-
-    /// Serialize into a byte buffer (12 bytes little-endian). Used by the
-    /// communication layer of the parallel reasoner.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(self.s.0);
-        buf.put_u32_le(self.p.0);
-        buf.put_u32_le(self.o.0);
-    }
-
-    /// Inverse of [`Triple::encode`]. Returns `None` if fewer than 12
-    /// bytes remain.
-    pub fn decode(buf: &mut impl Buf) -> Option<Self> {
-        if buf.remaining() < 12 {
-            return None;
-        }
-        Some(Triple {
-            s: NodeId(buf.get_u32_le()),
-            p: NodeId(buf.get_u32_le()),
-            o: NodeId(buf.get_u32_le()),
-        })
-    }
 }
 
 impl From<(NodeId, NodeId, NodeId)> for Triple {
@@ -66,24 +44,6 @@ impl std::fmt::Display for Triple {
     }
 }
 
-/// Encode a batch of triples into a fresh byte vector.
-pub fn encode_batch(triples: &[Triple]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(triples.len() * 12);
-    for t in triples {
-        t.encode(&mut buf);
-    }
-    buf
-}
-
-/// Decode a batch previously produced by [`encode_batch`].
-pub fn decode_batch(mut bytes: &[u8]) -> Vec<Triple> {
-    let mut out = Vec::with_capacity(bytes.len() / 12);
-    while let Some(t) = Triple::decode(&mut bytes) {
-        out.push(t);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -96,37 +56,6 @@ mod tests {
     #[test]
     fn size_is_12_bytes() {
         assert_eq!(std::mem::size_of::<Triple>(), 12);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let orig = t(1, u32::MAX, 7);
-        let mut buf = Vec::new();
-        orig.encode(&mut buf);
-        assert_eq!(buf.len(), 12);
-        let got = Triple::decode(&mut buf.as_slice()).unwrap();
-        assert_eq!(got, orig);
-    }
-
-    #[test]
-    fn decode_short_buffer_is_none() {
-        let buf = [0u8; 11];
-        assert_eq!(Triple::decode(&mut &buf[..]), None);
-    }
-
-    #[test]
-    fn batch_roundtrip() {
-        let batch = vec![t(0, 1, 2), t(3, 4, 5), t(6, 7, 8)];
-        let bytes = encode_batch(&batch);
-        assert_eq!(bytes.len(), 36);
-        assert_eq!(decode_batch(&bytes), batch);
-    }
-
-    #[test]
-    fn batch_decode_ignores_trailing_garbage() {
-        let mut bytes = encode_batch(&[t(1, 2, 3)]);
-        bytes.extend_from_slice(&[0xde, 0xad]); // 2 stray bytes
-        assert_eq!(decode_batch(&bytes), vec![t(1, 2, 3)]);
     }
 
     #[test]

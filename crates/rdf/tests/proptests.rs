@@ -120,15 +120,4 @@ proptest! {
             prop_assert_ne!(extended.term_fingerprint(), g.term_fingerprint());
         }
     }
-
-    /// Triple batch encode/decode round-trips.
-    #[test]
-    fn triple_batch_roundtrip(ids in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..64)) {
-        let batch: Vec<Triple> = ids
-            .iter()
-            .map(|&(s, p, o)| Triple::new(NodeId(s), NodeId(p), NodeId(o)))
-            .collect();
-        let bytes = owlpar_rdf::triple::encode_batch(&batch);
-        prop_assert_eq!(owlpar_rdf::triple::decode_batch(&bytes), batch);
-    }
 }

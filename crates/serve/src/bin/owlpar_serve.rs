@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! owlpar-serve run <kb.nt|kb.owlpar> [--addr 127.0.0.1:7878] [--k 2]
-//!                  [--threads 4] [--strategy graph|hash|domain|rule]
+//!                  [--threads 4] [--strategy graph|hash|domain|rule|hybrid|auto]
 //!                  [--data-dir <dir>] [--checkpoint-bytes <n>]
 //!                  [--read-timeout-ms <n>] [--max-pending <n>]
 //!                  [--crash-at <point[@occ][,...]>] [--trace-out <file>]
@@ -151,13 +151,10 @@ fn run_server(args: &[String]) -> Result<(), CliError> {
         .map_or(Ok(2), |v| v.parse().map_err(|_| "--k".to_string()))?;
     let threads: usize = flag_value(args, "--threads")
         .map_or(Ok(4), |v| v.parse().map_err(|_| "--threads".to_string()))?;
-    let strategy = match flag_value(args, "--strategy").as_deref() {
-        None | Some("graph") => PartitioningStrategy::data_graph(),
-        Some("hash") => PartitioningStrategy::data_hash(),
-        Some("domain") => PartitioningStrategy::data_domain(),
-        Some("rule") => PartitioningStrategy::rule(),
-        Some(other) => return Err(format!("unknown strategy '{other}'").into()),
-    };
+    let strategy = PartitioningStrategy::from_name(
+        flag_value(args, "--strategy").as_deref().unwrap_or("graph"),
+        k,
+    )?;
     let mut serve_cfg = ServeConfig {
         addr,
         threads,

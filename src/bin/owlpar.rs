@@ -140,17 +140,10 @@ fn materialize(args: &[String]) -> Result<(), CliError> {
     };
     let k: usize = flag_value(args, "--k")
         .map_or(Ok(2), |v| v.parse().map_err(|_| "--k".to_string()))?;
-    let strategy = match flag_value(args, "--strategy").as_deref() {
-        None | Some("graph") => PartitioningStrategy::data_graph(),
-        Some("hash") => PartitioningStrategy::data_hash(),
-        Some("domain") => PartitioningStrategy::data_domain(),
-        Some("rule") => PartitioningStrategy::rule(),
-        Some("hybrid") => PartitioningStrategy::Hybrid {
-            rule_groups: if k.is_multiple_of(2) { 2 } else { 1 },
-        },
-        Some("auto") => PartitioningStrategy::Auto,
-        Some(other) => return Err(format!("unknown strategy '{other}'").into()),
-    };
+    let strategy = PartitioningStrategy::from_name(
+        flag_value(args, "--strategy").as_deref().unwrap_or("graph"),
+        k,
+    )?;
     let rounds = if args.iter().any(|a| a == "--async") {
         RoundMode::Async
     } else {
